@@ -17,7 +17,7 @@ from .bench import (
     summarize,
     top_metrics_from_summary,
 )
-from .dataset import Dataset, LabeledExample, SplitPlan, load_csv, round_half_up, split
+from .dataset import Dataset, SplitPlan, load_csv, round_half_up, split
 from .evaluation import (
     ConfusionMatrix,
     RankRow,

@@ -188,10 +188,6 @@ def _run_block(ds: Dataset, level: float, repetition: int,
     return records
 
 
-def _run_block_star(args):
-    return _run_block(*args)
-
-
 def _resolve_workers(cfg: ExperimentConfig) -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
     if env is not None:
@@ -208,7 +204,7 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
 def _run_tasks(tasks: list[tuple], workers: int) -> list[RunRecord]:
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_block_star, tasks))
+            blocks = list(pool.map(_run_block, *zip(*tasks)))
     else:
         blocks = [_run_block(*task) for task in tasks]
     return [record for block in blocks for record in block]

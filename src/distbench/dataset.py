@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,11 +21,6 @@ from .errors import (
     NonNumericError,
     TooSmallError,
 )
-
-
-class LabeledExample(NamedTuple):
-    features: np.ndarray
-    class_id: int
 
 
 def round_half_up(value: float) -> int:
@@ -66,6 +60,8 @@ class Dataset:
             raise EmptyDatasetError(f"dataset {self.name!r} has no examples")
         if feats.shape[1] == 0:
             raise EmptyDatasetError(f"dataset {self.name!r} has no feature columns")
+        if not np.all(np.isfinite(feats)):
+            raise NonNumericError(f"dataset {self.name!r} has non-finite features")
         if labs.min() < 0 or labs.max() >= len(self.class_labels):
             raise ValueError("labels contain ids outside the class alphabet")
         if np.any(self.attr_min > self.attr_max):
@@ -97,14 +93,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.features)
-
-    def __iter__(self) -> Iterator[LabeledExample]:
-        for row, lab in zip(self.features, self.labels):
-            yield LabeledExample(row, int(lab))
-
-    @property
-    def examples(self) -> list[LabeledExample]:
-        return list(self)
 
     def has_negative_features(self) -> bool:
         return bool(np.any(self.features < 0.0))

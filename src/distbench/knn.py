@@ -52,43 +52,50 @@ class KnnModel:
         return len(self.features)
 
 
-def _distances(model: KnnModel, query) -> np.ndarray:
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != model.features.shape[1]:
+def _distances(model: KnnModel, queries, ndim: int) -> np.ndarray:
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != ndim:
         raise DimensionMismatchError(
-            f"query shape {query.shape} does not match trained dimension "
-            f"{model.features.shape[1]}")
-    return pairwise(model.metric, query, model.features, model.guard)
+            f"expected a {ndim}-d query, got shape {queries.shape}")
+    return pairwise(model.metric, queries, model.features, model.guard)
 
 
-def neighbors(model: KnnModel, query) -> list[Neighbor]:
-    """The k nearest training examples, ascending by (distance, index)."""
-    dist = _distances(model, query)
-    order = np.lexsort((np.arange(len(dist)), dist))[:model.k]
-    return [Neighbor(int(i), float(dist[i])) for i in order]
+def _nearest(model: KnnModel, dist: np.ndarray) -> np.ndarray:
+    """Indices of the k nearest training rows, ascending by (distance, index)."""
+    return np.lexsort((np.arange(len(dist)), dist))[:model.k]
 
 
-def classify(model: KnnModel, query) -> int:
-    """Majority class among the k nearest neighbors."""
-    if model.k == 1:
-        dist = _distances(model, query)
-        return int(model.labels[int(np.argmin(dist))])  # argmin takes the lowest index on ties
-    near = neighbors(model, query)
-    votes = Counter(int(model.labels[nb.index]) for nb in near)
+def _vote(model: KnnModel, dist: np.ndarray) -> int:
+    """Majority class among the k nearest; ties go to the nearest tied class."""
+    near = [int(model.labels[i]) for i in _nearest(model, dist)]
+    votes = Counter(near)
     top = max(votes.values())
     tied = {cls for cls, count in votes.items() if count == top}
     if len(tied) == 1:
         return tied.pop()
-    for nb in near:  # vote tie: nearest neighbor within the tied classes wins
-        cls = int(model.labels[nb.index])
+    for cls in near:  # vote tie: nearest neighbor within the tied classes wins
         if cls in tied:
             return cls
     raise AssertionError("unreachable: tied classes came from the neighbor list")
 
 
+def neighbors(model: KnnModel, query) -> list[Neighbor]:
+    """The k nearest training examples, ascending by (distance, index)."""
+    dist = _distances(model, query, 1)
+    return [Neighbor(int(i), float(dist[i])) for i in _nearest(model, dist)]
+
+
+def classify(model: KnnModel, query) -> int:
+    """Majority class among the k nearest neighbors."""
+    dist = _distances(model, query, 1)
+    if model.k == 1:  # argmin takes the lowest index on ties
+        return int(model.labels[np.argmin(dist)])
+    return _vote(model, dist)
+
+
 def classify_batch(model: KnnModel, queries) -> np.ndarray:
     """Predicted class ids for each row of a query matrix."""
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2:
-        raise DimensionMismatchError(f"expected a (t, n) query matrix, got {queries.shape}")
-    return np.array([classify(model, q) for q in queries], dtype=np.int64)
+    dist = _distances(model, queries, 2)
+    if model.k == 1:  # argmin takes the lowest index on ties
+        return model.labels[np.argmin(dist, axis=1)]
+    return np.array([_vote(model, row) for row in dist], dtype=np.int64)

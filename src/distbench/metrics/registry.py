@@ -199,19 +199,93 @@ def similarity(metric: str | MetricDescriptor, x, y,
     return 1.0 - evaluate(metric, x, y, guard)
 
 
+# Elements in one query block's (b, m, n) kernel temporaries. Chosen with
+# perfbench: blocks this size stay in cache, larger ones are memory-bound.
+BLOCK_ELEMENTS = 2 ** 15
+
+
+def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
+    """A block function equal, bit for bit, to ``kernels.hausdorff`` per query.
+
+    It never builds the (m, n, n) difference tensor. The nearest value to
+    v in a set is the next value below or above v, because rounding v - y
+    is monotone in y; each gap is taken in the order that makes it
+    non-negative, which equals ``abs`` bit for bit. Per block, every
+    training value is placed among the block's distinct query values
+    with one ``searchsorted``, and both directed distances follow from
+    that placement by counting and running extrema.
+    """
+    if not (np.all(np.isfinite(queries)) and np.all(np.isfinite(rows))):
+        # the reference kernel gives inf or nan for any non-finite input
+        raise DomainViolationError("HauD produced a non-finite distance")
+    queries, rows = queries + 0.0, rows + 0.0  # -0.0 becomes 0.0, so no gap is -0.0
+    m, n = rows.shape
+    inf = np.full((m, 1), np.inf)
+    closed = np.hstack((-inf, np.sort(rows, axis=1), inf)).ravel()  # sorted rows between ±inf
+    row_base = (np.arange(m) * (n + 2))[:, None]
+    flat = rows.ravel()
+    owner = np.repeat(np.arange(m), n)
+    # training values in one ascending run, so each block's search walks forward
+    order = np.argsort(flat, kind="stable")
+    run = flat[order]
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+
+    def block(start: int, stop: int) -> np.ndarray:
+        q = queries[start:stop]
+        b = len(q)
+        u, slot = np.unique(q, return_inverse=True)   # the block's distinct query values
+        slot = slot.reshape(b, n)
+        k = len(u)
+        below = np.searchsorted(u, run)[place]        # how many u lie below each training value
+        # query -> row: the last value of each sorted row that is <= each u
+        counts = np.bincount(owner * (k + 1) + below, minlength=m * (k + 1))
+        last = row_base + np.cumsum(counts.reshape(m, k + 1), axis=1)[:, :k]
+        gaps = np.minimum(closed[last + 1] - u, u - closed[last])
+        to_rows = gaps[:, slot].max(axis=-1).T
+        # row -> query: each query's nearest values below and at-or-above every training value
+        mine = np.zeros((b, k), dtype=bool)
+        mine[np.arange(b)[:, None], slot] = True
+        edge = np.full((b, 1), np.inf)
+        lower = np.hstack((-edge, np.maximum.accumulate(np.where(mine, u, -np.inf), axis=1)))
+        upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
+                           edge))
+        gaps = np.minimum(upper[:, below] - flat, flat - lower[:, below])
+        to_query = gaps.reshape(b, m, n).max(axis=-1)
+        return np.maximum(to_rows, to_query)
+
+    return block
+
+
 def pairwise(metric: str | MetricDescriptor, x, rows,
              guard: GuardPolicy | None = None) -> np.ndarray:
-    """Dissimilarity from one vector to every row of a matrix.
+    """Dissimilarity from a query vector, or each query row, to every row of a matrix.
 
-    The single vector is passed as the kernel's first argument, which
-    matters for the non-symmetric measures (KLD, KDD, NCSD, PCSD, CSSD).
+    ``x`` is one query of shape (n,), giving (m,) distances, or a query
+    matrix of shape (t, n), giving (t, m). The query is passed as the
+    kernel's first argument, which matters for the non-symmetric measures
+    (KLD, KDD, NCSD, PCSD, CSSD). Queries are evaluated in blocks sized
+    from ``BLOCK_ELEMENTS``; every distance is bitwise equal to evaluating
+    that query alone. A non-finite distance raises DomainViolationError.
     """
     desc = _resolve(metric)
     x = np.asarray(x, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
-    if x.ndim != 1 or rows.ndim != 2 or rows.shape[1] != x.shape[0]:
+    if x.ndim not in (1, 2) or rows.ndim != 2 or rows.shape[1] != x.shape[-1]:
         raise DimensionMismatchError(
-            f"expected (n,) against (m, n), got {x.shape} and {rows.shape}")
+            f"expected (n,) or (t, n) against (m, n), got {x.shape} and {rows.shape}")
     _check_domain(desc, x, rows)
-    return np.asarray(desc.func(x, rows, guard if guard is not None else desc.guard),
-                      dtype=np.float64)
+    guard = guard if guard is not None else desc.guard
+    queries = x.reshape(-1, x.shape[-1])
+    if desc.func is kernels.hausdorff:
+        block = _hausdorff_blocks(queries, rows)
+    else:
+        def block(start: int, stop: int) -> np.ndarray:
+            return desc.func(queries[start:stop, None, :], rows, guard)
+    out = np.empty((len(queries), len(rows)), dtype=np.float64)
+    step = max(1, BLOCK_ELEMENTS // max(rows.size, 1))
+    for start in range(0, len(queries), step):
+        out[start:start + step] = block(start, start + step)
+    if not np.all(np.isfinite(out)):
+        raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
+    return out if x.ndim == 2 else out[0]

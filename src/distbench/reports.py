@@ -1,13 +1,17 @@
 """Report emission: the records CSV and the markdown summary tables.
 
 Floats in the CSV are written with repr so rereading them is exact and
-two runs with the same seed produce byte-identical files. Markdown
-tables round to four decimals, matching the usual presentation of
-accuracy results.
+two runs with the same seed produce byte-identical files. The CSV goes
+through the ``csv`` module with minimal quoting, so a dataset name that
+holds a comma or a quote reads back intact and any other name is written
+bare. Markdown tables round to four decimals, matching the usual
+presentation of accuracy results.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
 
 from .bench import RunRecord, SCORE_KINDS, per_dataset_means, summarize
@@ -22,9 +26,11 @@ def _sorted_records(records: list[RunRecord]) -> list[RunRecord]:
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
-    lines = [CSV_HEADER]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for rec in _sorted_records(records):
-        lines.append(",".join((
+        writer.writerow((
             rec.dataset,
             rec.metric,
             repr(rec.noise_level),
@@ -32,8 +38,8 @@ def records_to_csv(records: list[RunRecord]) -> str:
             repr(rec.scores.accuracy),
             repr(rec.scores.precision),
             repr(rec.scores.recall),
-        )))
-    return "\n".join(lines) + "\n"
+        ))
+    return buf.getvalue()
 
 
 def write_records_csv(records: list[RunRecord], path) -> Path:
@@ -44,14 +50,14 @@ def write_records_csv(records: list[RunRecord], path) -> Path:
 
 def read_records_csv(path) -> list[RunRecord]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    with path.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != CSV_HEADER.split(","):
         raise ConfigError(f"{path} is not a records CSV (bad header)")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, cells in enumerate(rows[1:], start=2):
+        if not "".join(cells).strip():
             continue
-        cells = line.split(",")
         if len(cells) != 7:
             raise ConfigError(f"{path}:{lineno}: expected 7 fields, got {len(cells)}")
         try:

@@ -181,6 +181,13 @@ def test_records_csv_round_trip(tiny_config, tmp_path):
     assert sorted(back, key=str) == sorted(result.records, key=str)
 
 
+def test_records_csv_round_trips_a_name_with_a_comma(tmp_path):
+    records = [RunRecord("a,b", "ED", 0.0, 0, ScoreTriple(0.5, 0.25, 0.75)),
+               RunRecord('say "hi"', "MD", 0.1, 1, ScoreTriple(1.0, 1.0, 1.0))]
+    path = write_records_csv(records, tmp_path / "records.csv")
+    assert read_records_csv(path) == sorted(records, key=lambda r: r.dataset)
+
+
 def test_records_csv_schema(tmp_path):
     records = [RunRecord("d", "ED", 0.1, 0, ScoreTriple(0.5, 0.25, 0.75))]
     text = records_to_csv(records)

@@ -126,6 +126,12 @@ def test_stats_invariant_under_row_permutation(tmp_path):
     assert np.array_equal(ds.attr_max, shuffled.attr_max)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_from_arrays_rejects_non_finite_features(bad):
+    with pytest.raises(NonNumericError):
+        Dataset.from_arrays("d", [[bad, 1.0]], [0], ["a"])
+
+
 def test_datasets_are_immutable():
     ds = Dataset.from_arrays("im", [[1.0, 2.0]] * 3, [0, 0, 1], ["a", "b"])
     with pytest.raises(ValueError):

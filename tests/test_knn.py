@@ -5,6 +5,7 @@ import pytest
 
 from distbench import Dataset, KnnModel, classify, classify_batch, neighbors
 from distbench.errors import DimensionMismatchError
+from distbench.metrics import registry
 
 from conftest import make_blobs
 
@@ -132,13 +133,19 @@ def test_from_dataset():
     assert classify(model, QUERY) == 0
 
 
-def test_distance_evaluation_count():
-    # one kernel call per query, each scoring every training row
+def test_distance_evaluation_count(monkeypatch):
+    # every (query, training row) pair is scored exactly once, also when the
+    # engine splits the 34 queries into blocks of 5
+    monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 5 * 66 * 4)
     calls = []
     desc = _desc("ED")
+
+    def count(x, y):
+        calls.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
+
     counting = type(desc)(
         abbrev="ED*", name="counting", family=desc.family,
-        func=lambda x, y, g: (calls.append(len(y)), desc.func(x, y, g))[1],
+        func=lambda x, y, g: (count(x, y), desc.func(x, y, g))[1],
         full_metric=True)
     feats = np.random.default_rng(7).uniform(0, 1, size=(66, 4))
     labels = np.zeros(66, dtype=np.int64)
