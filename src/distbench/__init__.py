@@ -31,6 +31,7 @@ from .evaluation import (
     wilcoxon_rank_sum,
     wilcoxon_signed_rank,
 )
+from .heap import keep_freed_heap
 from .knn import KnnModel, Neighbor, classify, classify_batch, neighbors
 from .metrics import (
     DEFAULT_GUARD,

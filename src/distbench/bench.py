@@ -19,7 +19,7 @@ from pathlib import Path
 
 from ._seeds import derive_seed
 from .dataset import Dataset, SplitPlan, load_csv, split
-from .errors import ConfigError
+from .errors import ConfigError, DomainViolationError
 from .evaluation import (
     RankRow,
     ScoreTriple,
@@ -29,6 +29,7 @@ from .evaluation import (
     wilcoxon_rank_sum,
     wilcoxon_signed_rank,
 )
+from .heap import keep_freed_heap
 from .knn import KnnModel, classify_batch
 from .metrics import describe, list_metrics
 from .noise import NoiseSpec, inject
@@ -164,28 +165,38 @@ def _noise_seed(master_seed: int, dataset_name: str, level: float) -> int:
     return derive_seed(master_seed, dataset_name, _level_token(level), "noise")
 
 
-def _run_block(ds: Dataset, level: float, repetition: int,
-               metrics: tuple[str, ...], cfg: ExperimentConfig) -> list[RunRecord]:
-    """All runnable metrics on one (dataset, level, repetition) cell."""
+def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, ...],
+               cfg: ExperimentConfig) -> tuple[list[RunRecord], list[SkipRecord]]:
+    """All metrics on one (dataset, level, repetition) cell.
+
+    A metric whose domain excludes the features, or whose distances are
+    not finite, is skipped with its reason; the others still run.
+    """
     plan = SplitPlan(cfg.test_fraction, cfg.repetitions,
                      _split_seed(cfg.master_seed, ds.name, level))
     train, test = split(ds, plan, repetition)
     negative = ds.has_negative_features()
-    records = []
+    records, skips = [], []
     for abbrev in metrics:
         desc = describe(abbrev)
         if desc.requires_nonneg_inputs and negative:
+            skips.append(SkipRecord(ds.name, abbrev, float(level),
+                                    "negative features outside metric domain"))
             continue
         started = time.perf_counter()
         model = KnnModel.from_dataset(train, desc, k=cfg.k)
-        predicted = classify_batch(model, test.features)
+        try:
+            predicted = classify_batch(model, test.features)
+        except DomainViolationError as exc:
+            skips.append(SkipRecord(ds.name, abbrev, float(level), str(exc)))
+            continue
         triple = score(confusion(test.labels, predicted, ds.n_classes))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"cell dataset={ds.name} metric={abbrev} level={level} "
               f"rep={repetition} accuracy={triple.accuracy:.4f} ({elapsed_ms:.1f} ms)",
               file=sys.stderr)
         records.append(RunRecord(ds.name, abbrev, float(level), repetition, triple))
-    return records
+    return records, skips
 
 
 def _resolve_workers(cfg: ExperimentConfig) -> int:
@@ -201,31 +212,21 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
     return cfg.workers
 
 
-def _run_tasks(tasks: list[tuple], workers: int) -> list[RunRecord]:
+def _run_tasks(tasks: list[tuple], workers: int) -> tuple[list[RunRecord], list[SkipRecord]]:
+    """Records of every cell in task order, and each distinct skip once."""
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_heap) as pool:
             blocks = list(pool.map(_run_block, *zip(*tasks)))
     else:
         blocks = [_run_block(*task) for task in tasks]
-    return [record for block in blocks for record in block]
+    records = [record for block_records, _ in blocks for record in block_records]
+    # a skip repeats in every repetition of its (dataset, level) cell
+    skips = dict.fromkeys(skip for _, block_skips in blocks for skip in block_skips)
+    return records, list(skips)
 
 
 def _load_datasets(cfg: ExperimentConfig) -> list[Dataset]:
     return [load_csv(path) for path in cfg.datasets]
-
-
-def _collect_skips(datasets: list[Dataset], metrics: tuple[str, ...],
-                   levels: tuple[float, ...]) -> list[SkipRecord]:
-    skips = []
-    for ds in datasets:
-        if not ds.has_negative_features():
-            continue
-        for abbrev in metrics:
-            if describe(abbrev).requires_nonneg_inputs:
-                for level in levels:
-                    skips.append(SkipRecord(ds.name, abbrev, float(level),
-                                            "negative features outside metric domain"))
-    return skips
 
 
 def per_dataset_means(records: list[RunRecord], kind: str,
@@ -285,8 +286,7 @@ def run_clean_phase(cfg: ExperimentConfig) -> CleanResult:
     tasks = [(ds, 0.0, rep, cfg.metrics, cfg)
              for ds in datasets
              for rep in range(cfg.repetitions)]
-    records = _run_tasks(tasks, workers)
-    skips = _collect_skips(datasets, cfg.metrics, (0.0,))
+    records, skips = _run_tasks(tasks, workers)
     return CleanResult(records, skips, summarize(records, level=0.0))
 
 
@@ -354,8 +354,7 @@ def run_noise_phase(cfg: ExperimentConfig,
             noisy = inject(ds, NoiseSpec(level, _noise_seed(cfg.master_seed, ds.name, level)))
             for rep in range(cfg.repetitions):
                 tasks.append((noisy, float(level), rep, tuple(top_metrics), cfg))
-    records = _run_tasks(tasks, workers)
-    skips = _collect_skips(datasets, tuple(top_metrics), tuple(float(l) for l in levels))
+    records, skips = _run_tasks(tasks, workers)
     return NoiseResult(records, skips, tuple(top_metrics),
                        _noise_rank_tables(records, tuple(float(l) for l in levels)),
                        _noise_level_stats(records, tuple(float(l) for l in levels)))

@@ -20,6 +20,7 @@ from .bench import (
     run_noise_phase,
 )
 from .errors import DistbenchError
+from .heap import keep_freed_heap
 from .reports import (
     rank_tables_markdown,
     read_records_csv,
@@ -157,6 +158,7 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    keep_freed_heap()  # the command owns its process; see heap.py
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -458,7 +458,5 @@ def hassanat(x, y, guard=DEFAULT_GUARD):
     """
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    shift = np.abs(lo)
-    plain = 1.0 - (1.0 + lo) / (1.0 + hi)
-    shifted = 1.0 - (1.0 + lo + shift) / (1.0 + hi + shift)
-    return np.sum(np.where(lo >= 0.0, plain, shifted), axis=-1)
+    shift = np.where(lo >= 0.0, 0.0, -lo)   # adding 0.0 leaves 1 + lo and 1 + hi exact
+    return np.sum(1.0 - (1.0 + lo + shift) / (1.0 + hi + shift), axis=-1)

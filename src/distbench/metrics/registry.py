@@ -199,8 +199,10 @@ def similarity(metric: str | MetricDescriptor, x, y,
     return 1.0 - evaluate(metric, x, y, guard)
 
 
-# Elements in one query block's (b, m, n) kernel temporaries. Chosen with
-# perfbench: blocks this size stay in cache, larger ones are memory-bound.
+# Elements in one query block's (b, m, n) kernel temporaries (256 KiB of
+# doubles). Chosen with perfbench: once the process keeps its freed heap
+# (heap.keep_freed_heap), 2**14 to 2**16 time alike on both workloads,
+# and larger budgets only raise peak memory.
 BLOCK_ELEMENTS = 2 ** 15
 
 

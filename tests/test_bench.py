@@ -88,6 +88,7 @@ def test_negative_features_skip_domain_restricted_metrics(tmp_path):
     assert ran == {"ED"}
     skipped = {(s.metric, s.dataset) for s in result.skips}
     assert skipped == {("KLD", "neg"), ("SCD", "neg")}
+    assert len(result.skips) == 2   # once per level, not once per repetition
 
 
 def test_noise_phase_records_and_rank_tables(tiny_config):
@@ -113,7 +114,8 @@ def test_noise_level_zero_matches_clean_phase(tiny_config):
         noisy = inject(ds, NoiseSpec(0.0, _noise_seed(tiny_config.master_seed, ds.name, 0.0)))
         assert noisy is ds   # no-op injection
         for rep in range(tiny_config.repetitions):
-            for rec in _run_block(noisy, 0.0, rep, tiny_config.metrics, tiny_config):
+            records, _skips = _run_block(noisy, 0.0, rep, tiny_config.metrics, tiny_config)
+            for rec in records:
                 assert rec.scores == by_cell[(rec.dataset, rec.metric, rec.repetition)]
 
 

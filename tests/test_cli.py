@@ -43,6 +43,22 @@ def test_clean_is_byte_deterministic(workspace):
     assert first == second
 
 
+def test_non_finite_cell_is_skipped_and_the_run_goes_on(tmp_path, capsys):
+    # ED's squares of differences near 2e200 overflow; MD's sums stay finite
+    rows = ["1e200,1e200,a", "-1e200,-1e200,b", "1e200,-1e200,a",
+            "-1e200,1e200,b", "1e200,1e200,a", "-1e200,-1e200,b"]
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "bench.cfg", [data], metrics="ED,MD", repetitions=2)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["clean", "--config", str(cfg), "--out", str(out)]) == 0
+    records = read_records_csv(out / "records.csv")
+    assert [(r.metric, r.repetition) for r in records] == [("MD", 0), ("MD", 1)]
+    err = capsys.readouterr().err
+    assert "skipped dataset=huge metric=ED: ED produced a non-finite distance" in err
+
+
 def test_noise_subcommand_with_explicit_metrics(tmp_path, capsys):
     ds = make_blobs("noisy", 30, 3, (0.7, 0.3), spread=0.8, seed=3)
     csv_path = write_dataset_csv(ds, tmp_path / "noisy.csv")
