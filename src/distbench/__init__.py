@@ -35,6 +35,7 @@ from .heap import keep_freed_heap
 from .knn import KnnModel, Neighbor, classify, classify_batch, neighbors
 from .metrics import (
     DEFAULT_GUARD,
+    CoreStore,
     Family,
     GuardPolicy,
     MetricDescriptor,

@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .heap import keep_freed_heap
 from .knn import KnnModel, classify_batch
-from .metrics import describe, list_metrics
+from .metrics import CoreStore, describe, list_metrics
 from .noise import NoiseSpec, inject
 
 DEFAULT_NOISE_LEVELS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -170,33 +170,42 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
     """All metrics on one (dataset, level, repetition) cell.
 
     A metric whose domain excludes the features, or whose distances are
-    not finite, is skipped with its reason; the others still run.
+    not finite, is skipped with its reason; the others still run. The
+    metrics share one CoreStore and run in its order; records and skips
+    come back in the order of ``metrics``.
     """
     plan = SplitPlan(cfg.test_fraction, cfg.repetitions,
                      _split_seed(cfg.master_seed, ds.name, level))
     train, test = split(ds, plan, repetition)
     negative = ds.has_negative_features()
-    records, skips = [], []
+    outcome: dict[str, RunRecord | SkipRecord] = {}
+    runnable = []
     for abbrev in metrics:
         desc = describe(abbrev)
         if desc.requires_nonneg_inputs and negative:
-            skips.append(SkipRecord(ds.name, abbrev, float(level),
-                                    "negative features outside metric domain"))
-            continue
+            outcome[abbrev] = SkipRecord(ds.name, abbrev, float(level),
+                                         "negative features outside metric domain")
+        else:
+            runnable.append(desc)
+    store = CoreStore(test.features, train.features, runnable)
+    for desc in store.order:
+        abbrev = desc.abbrev
         started = time.perf_counter()
         model = KnnModel.from_dataset(train, desc, k=cfg.k)
         try:
-            predicted = classify_batch(model, test.features)
+            predicted = classify_batch(model, test.features, store)
         except DomainViolationError as exc:
-            skips.append(SkipRecord(ds.name, abbrev, float(level), str(exc)))
+            outcome[abbrev] = SkipRecord(ds.name, abbrev, float(level), str(exc))
             continue
         triple = score(confusion(test.labels, predicted, ds.n_classes))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         print(f"cell dataset={ds.name} metric={abbrev} level={level} "
               f"rep={repetition} accuracy={triple.accuracy:.4f} ({elapsed_ms:.1f} ms)",
               file=sys.stderr)
-        records.append(RunRecord(ds.name, abbrev, float(level), repetition, triple))
-    return records, skips
+        outcome[abbrev] = RunRecord(ds.name, abbrev, float(level), repetition, triple)
+    results = [outcome[abbrev] for abbrev in metrics]
+    return ([r for r in results if isinstance(r, RunRecord)],
+            [r for r in results if isinstance(r, SkipRecord)])
 
 
 def _resolve_workers(cfg: ExperimentConfig) -> int:

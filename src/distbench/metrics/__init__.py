@@ -4,6 +4,8 @@ from . import kernels
 from .kernels import DEFAULT_GUARD, EPSILON, GuardPolicy
 from .registry import (
     REGISTRY,
+    CoreKernel,
+    CoreStore,
     Family,
     MetricDescriptor,
     describe,
@@ -14,6 +16,8 @@ from .registry import (
 )
 
 __all__ = [
+    "CoreKernel",
+    "CoreStore",
     "DEFAULT_GUARD",
     "EPSILON",
     "Family",

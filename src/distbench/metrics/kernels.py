@@ -1,11 +1,15 @@
-"""The 54 distance/similarity kernels.
+"""The distance/similarity kernels and the shared cores.
 
-Every kernel is a pure function of two float ndarrays whose last axis is
-the vector dimension, so the same code evaluates a single pair (n,), a
-training matrix against one query (m, n) vs (n,), or batches of pairs
-(b, n) vs (b, n). Reductions always run over the last axis. Callers are
-expected to pass float64 arrays; the registry front end does the
-conversion and the domain checks.
+28 measures have a kernel here. The other 26 are finished, in the
+registry, from the shared cores below: reductions such as the sum of
+absolute differences that several measures are simple functions of.
+
+Every kernel and core is a pure function of two float ndarrays whose
+last axis is the vector dimension, so the same code evaluates a single
+pair (n,), a training matrix against one query (m, n) vs (n,), or
+batches of pairs (b, n) vs (b, n). Reductions always run over the last
+axis. Callers are expected to pass float64 arrays; the registry front
+end does the conversion and the domain checks.
 
 Division by zero and logs of non-positive arguments are resolved by a
 GuardPolicy: a term whose numerator (or log coefficient) is zero always
@@ -82,41 +86,63 @@ def _dim(x, y) -> int:
     return np.broadcast_shapes(np.shape(x), np.shape(y))[-1]
 
 
-# Shared cores, so factor-related kernels agree to the last ulp.
+# Shared cores: reductions ``(x, y, guard) -> values`` over the last axis.
+# The registry finishes 26 measures from them, so factor-related measures
+# agree to the last ulp.
 
-def _abs_diff_sum(x, y):
+def abs_diff_sum(x, y, guard=DEFAULT_GUARD):
+    """Sum of absolute component differences."""
     return np.sum(np.abs(x - y), axis=-1)
 
 
-def _sq_diff_sum(x, y):
+def abs_diff_max(x, y, guard=DEFAULT_GUARD):
+    """Largest absolute component difference."""
+    return np.max(np.abs(x - y), axis=-1)
+
+
+def sq_diff_sum(x, y, guard=DEFAULT_GUARD):
+    """Sum of squared component differences."""
     return np.sum(np.square(x - y), axis=-1)
 
 
-def _squared_chord_sum(x, y):
+def nonzero_count(x, y, guard=DEFAULT_GUARD):
+    """Count of positions where x or y is non-zero, as a float."""
+    return np.sum((np.square(x) + np.square(y)) != 0.0, axis=-1).astype(np.float64)
+
+
+def inner_product(x, y, guard=DEFAULT_GUARD):
+    """Sum of component products."""
+    return np.sum(x * y, axis=-1)
+
+
+def squared_chord_sum(x, y, guard=DEFAULT_GUARD):
+    """Sum of squared differences of component square roots."""
     return np.sum(np.square(np.sqrt(x) - np.sqrt(y)), axis=-1)
 
 
-def _squared_chi2_sum(x, y, guard):
+def squared_chi2_sum(x, y, guard=DEFAULT_GUARD):
+    """Sum of squared differences over component sums."""
     return np.sum(_div(np.square(x - y), x + y, guard), axis=-1)
 
 
-def _neyman_sum(x, y, guard):
+def neyman_sum(x, y, guard=DEFAULT_GUARD):
+    """Directed chi-squared sum with x as the reference: sum((x - y)^2 / x)."""
     return np.sum(_div(np.square(x - y), x, guard), axis=-1)
 
 
-def _topsoe_sum(x, y, guard):
+def pearson_sum(x, y, guard=DEFAULT_GUARD):
+    """Directed chi-squared sum with y as the reference: sum((y - x)^2 / y)."""
+    return neyman_sum(y, x, guard)
+
+
+def topsoe_sum(x, y, guard=DEFAULT_GUARD):
+    """Topsoe information statistic, twice the Jensen-Shannon divergence."""
     s = x + y
     return np.sum(_xlog(x, _div(2.0 * x, s, guard), guard)
                   + _xlog(y, _div(2.0 * y, s, guard), guard), axis=-1)
 
 
-def _cosine_similarity(x, y, guard):
-    num = np.sum(x * y, axis=-1)
-    den = np.sqrt(np.sum(np.square(x), axis=-1)) * np.sqrt(np.sum(np.square(y), axis=-1))
-    return _div(num, den, guard)
-
-
-def _pearson_r(x, y):
+def pearson_r(x, y, guard=DEFAULT_GUARD):
     """Pearson correlation over the last axis; zero variance maps to r = 0."""
     xc = x - np.mean(x, axis=-1, keepdims=True)
     yc = y - np.mean(y, axis=-1, keepdims=True)
@@ -126,24 +152,7 @@ def _pearson_r(x, y):
     return np.clip(r, -1.0, 1.0)
 
 
-# 1. Lp Minkowski family
-
-def manhattan(x, y, guard=DEFAULT_GUARD):
-    """Sum of absolute component differences (L1 norm of x - y)."""
-    return _abs_diff_sum(x, y)
-
-
-def chebyshev(x, y, guard=DEFAULT_GUARD):
-    """Largest absolute component difference (L-infinity norm)."""
-    return np.max(np.abs(x - y), axis=-1)
-
-
-def euclidean(x, y, guard=DEFAULT_GUARD):
-    """L2 norm of the component differences."""
-    return np.sqrt(_sq_diff_sum(x, y))
-
-
-# 2. L1 family
+# L1 family
 
 def lorentzian(x, y, guard=DEFAULT_GUARD):
     """Sum of ln(1 + |x - y|); the +1 keeps each term non-negative."""
@@ -157,50 +166,20 @@ def canberra(x, y, guard=DEFAULT_GUARD):
 
 def sorensen(x, y, guard=DEFAULT_GUARD):
     """Bray-Curtis: summed absolute differences over summed values."""
-    return _div(_abs_diff_sum(x, y), np.sum(x + y, axis=-1), guard)
+    return _div(abs_diff_sum(x, y), np.sum(x + y, axis=-1), guard)
 
 
 def soergel(x, y, guard=DEFAULT_GUARD):
     """Summed absolute differences over summed component maxima."""
-    return _div(_abs_diff_sum(x, y), np.sum(np.maximum(x, y), axis=-1), guard)
+    return _div(abs_diff_sum(x, y), np.sum(np.maximum(x, y), axis=-1), guard)
 
 
 def kulczynski(x, y, guard=DEFAULT_GUARD):
     """Summed absolute differences over summed component minima."""
-    return _div(_abs_diff_sum(x, y), np.sum(np.minimum(x, y), axis=-1), guard)
+    return _div(abs_diff_sum(x, y), np.sum(np.minimum(x, y), axis=-1), guard)
 
 
-def mean_character(x, y, guard=DEFAULT_GUARD):
-    """Manhattan divided by the dimension (average absolute difference)."""
-    return _abs_diff_sum(x, y) / _dim(x, y)
-
-
-def non_intersection(x, y, guard=DEFAULT_GUARD):
-    """Half the Manhattan distance (complement of intersection similarity)."""
-    return 0.5 * _abs_diff_sum(x, y)
-
-
-# 3. Inner product family
-
-def jaccard(x, y, guard=DEFAULT_GUARD):
-    """Squared differences over (sum of squares minus the inner product)."""
-    num = _sq_diff_sum(x, y)
-    den = (np.sum(np.square(x), axis=-1) + np.sum(np.square(y), axis=-1)
-           - np.sum(x * y, axis=-1))
-    return _div(num, den, guard)
-
-
-def cosine(x, y, guard=DEFAULT_GUARD):
-    """One minus the cosine of the angle between the vectors."""
-    return 1.0 - _cosine_similarity(x, y, guard)
-
-
-def dice(x, y, guard=DEFAULT_GUARD):
-    """One minus twice the inner product over the summed squared norms."""
-    num = 2.0 * np.sum(x * y, axis=-1)
-    den = np.sum(np.square(x), axis=-1) + np.sum(np.square(y), axis=-1)
-    return 1.0 - _div(num, den, guard)
-
+# Inner product family
 
 def chord(x, y, guard=DEFAULT_GUARD):
     """Chord length between the vectors projected on the unit sphere.
@@ -214,7 +193,7 @@ def chord(x, y, guard=DEFAULT_GUARD):
     return np.sqrt(np.sum(np.square(xn - yn), axis=-1))
 
 
-# 4. Squared chord family (non-negative inputs only)
+# Squared chord family (non-negative inputs only)
 
 def bhattacharyya(x, y, guard=DEFAULT_GUARD):
     """Negative log of the sum of geometric means; may be negative."""
@@ -222,51 +201,11 @@ def bhattacharyya(x, y, guard=DEFAULT_GUARD):
     return -_xlog(np.ones_like(s), s, guard)
 
 
-def squared_chord(x, y, guard=DEFAULT_GUARD):
-    """Sum of squared differences of component square roots."""
-    return _squared_chord_sum(x, y)
-
-
-def matusita(x, y, guard=DEFAULT_GUARD):
-    """Square root of the squared chord distance."""
-    return np.sqrt(_squared_chord_sum(x, y))
-
-
-def hellinger(x, y, guard=DEFAULT_GUARD):
-    """Square root of twice the squared chord distance."""
-    return np.sqrt(2.0 * _squared_chord_sum(x, y))
-
-
-# 5. Squared L2 family
-
-def squared_euclidean(x, y, guard=DEFAULT_GUARD):
-    """Sum of squared component differences (no square root)."""
-    return _sq_diff_sum(x, y)
-
+# Squared L2 family
 
 def clark(x, y, guard=DEFAULT_GUARD):
     """Root of summed squared relative differences |x-y|/(x+y)."""
     return np.sqrt(np.sum(np.square(_div(np.abs(x - y), x + y, guard)), axis=-1))
-
-
-def neyman_chi2(x, y, guard=DEFAULT_GUARD):
-    """Chi-squared with the first argument as the reference (quasi-distance)."""
-    return _neyman_sum(x, y, guard)
-
-
-def pearson_chi2(x, y, guard=DEFAULT_GUARD):
-    """Chi-squared with the second argument as the reference (quasi-distance)."""
-    return _neyman_sum(y, x, guard)
-
-
-def squared_chi2(x, y, guard=DEFAULT_GUARD):
-    """Triangular discrimination: squared differences over component sums."""
-    return _squared_chi2_sum(x, y, guard)
-
-
-def prob_symmetric_chi2(x, y, guard=DEFAULT_GUARD):
-    """Exactly twice the squared chi-squared distance."""
-    return 2.0 * _squared_chi2_sum(x, y, guard)
 
 
 def divergence(x, y, guard=DEFAULT_GUARD):
@@ -279,24 +218,12 @@ def additive_symmetric_chi2(x, y, guard=DEFAULT_GUARD):
     return 2.0 * np.sum(_div(np.square(x - y) * (x + y), x * y, guard), axis=-1)
 
 
-def average_euclidean(x, y, guard=DEFAULT_GUARD):
-    """Euclidean distance normalized by the square root of the dimension."""
-    return np.sqrt(_sq_diff_sum(x, y) / _dim(x, y))
-
-
-def mean_censored_euclidean(x, y, guard=DEFAULT_GUARD):
-    """Like average Euclidean but dividing by the count of non-zero pairs."""
-    num = _sq_diff_sum(x, y)
-    count = np.sum((np.square(x) + np.square(y)) != 0.0, axis=-1).astype(np.float64)
-    return np.sqrt(_div(num, count, guard))
-
-
 def squared_chi_squared(x, y, guard=DEFAULT_GUARD):
     """Squared differences over the absolute component sums."""
     return np.sum(_div(np.square(x - y), np.abs(x + y), guard), axis=-1)
 
 
-# 6. Shannon entropy family (non-negative inputs only)
+# Shannon entropy family (non-negative inputs only)
 
 def kullback_leibler(x, y, guard=DEFAULT_GUARD):
     """Relative entropy of x with respect to y; not symmetric."""
@@ -324,16 +251,6 @@ def k_divergence(x, y, guard=DEFAULT_GUARD):
     return np.sum(_xlog(x, _div(2.0 * x, x + y, guard), guard), axis=-1)
 
 
-def topsoe(x, y, guard=DEFAULT_GUARD):
-    """Information statistic; exactly twice the Jensen-Shannon divergence."""
-    return _topsoe_sum(x, y, guard)
-
-
-def jensen_shannon(x, y, guard=DEFAULT_GUARD):
-    """Half the Topsoe distance."""
-    return 0.5 * _topsoe_sum(x, y, guard)
-
-
 def jensen_difference(x, y, guard=DEFAULT_GUARD):
     """Half the summed Jensen differences of the entropy function."""
     m = 0.5 * (x + y)
@@ -341,7 +258,7 @@ def jensen_difference(x, y, guard=DEFAULT_GUARD):
     return 0.5 * np.sum(terms, axis=-1)
 
 
-# 7. Vicissitude family
+# Vicissitude family
 
 def vicis_wave_hedges(x, y, guard=DEFAULT_GUARD):
     """Absolute differences over the component minima."""
@@ -363,22 +280,7 @@ def vicis_symmetric3(x, y, guard=DEFAULT_GUARD):
     return np.sum(_div(np.square(x - y), np.maximum(x, y), guard), axis=-1)
 
 
-def max_symmetric_chi2(x, y, guard=DEFAULT_GUARD):
-    """Larger of the two directed chi-squared sums."""
-    return np.maximum(_neyman_sum(x, y, guard), _neyman_sum(y, x, guard))
-
-
-def min_symmetric_chi2(x, y, guard=DEFAULT_GUARD):
-    """Smaller of the two directed chi-squared sums."""
-    return np.minimum(_neyman_sum(x, y, guard), _neyman_sum(y, x, guard))
-
-
-# 8. Other measures
-
-def average_l1_linf(x, y, guard=DEFAULT_GUARD):
-    """Mean of the Manhattan and Chebyshev distances."""
-    return 0.5 * (_abs_diff_sum(x, y) + np.max(np.abs(x - y), axis=-1))
-
+# Other measures
 
 def kumar_johnson(x, y, guard=DEFAULT_GUARD):
     """Sum of (x^2 + y^2)^2 / (2 (x y)^1.5)."""
@@ -392,24 +294,6 @@ def taneja(x, y, guard=DEFAULT_GUARD):
     m = 0.5 * (x + y)
     arg = _div(x + y, 2.0 * np.sqrt(x * y), guard)
     return np.sum(_xlog(m, arg, guard), axis=-1)
-
-
-def pearson_distance(x, y, guard=DEFAULT_GUARD):
-    """One minus the Pearson correlation coefficient."""
-    return 1.0 - _pearson_r(x, y)
-
-
-def correlation(x, y, guard=DEFAULT_GUARD):
-    """Pearson distance rescaled into [0, 1]: (1 - r) / 2."""
-    return (1.0 - _pearson_r(x, y)) / 2.0
-
-
-def squared_pearson(x, y, guard=DEFAULT_GUARD):
-    """One minus the squared Pearson correlation coefficient."""
-    # written via 1 - r so the algebraic tie to pearson_distance is bitwise
-    p = 1.0 - _pearson_r(x, y)
-    s = 1.0 - p
-    return 1.0 - s * s
 
 
 def hamming(x, y, guard=DEFAULT_GUARD):
@@ -458,5 +342,7 @@ def hassanat(x, y, guard=DEFAULT_GUARD):
     """
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    shift = np.where(lo >= 0.0, 0.0, -lo)   # adding 0.0 leaves 1 + lo and 1 + hi exact
-    return np.sum(1.0 - (1.0 + lo + shift) / (1.0 + hi + shift), axis=-1)
+    shift = np.where(lo >= 0.0, 0.0, -lo)
+    # lo + shift is lo itself or exactly 0, so equal values give 0 at any
+    # magnitude; 1 + lo + shift would round 1 away below about -2**53
+    return np.sum(1.0 - (1.0 + (lo + shift)) / (1.0 + (hi + shift)), axis=-1)

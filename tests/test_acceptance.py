@@ -105,6 +105,10 @@ EQUIVALENT_GROUPS = (
 
 def test_criterion_4_argmin_equivalence():
     with criterion(4, "identical 1-NN predictions within monotone groups"):
+        # each group finishes one shared core, so its argmin is one argmin
+        for group in EQUIVALENT_GROUPS:
+            declared = {describe(abbrev).func.cores for abbrev in group}
+            assert len(declared) == 1 and len(declared.pop()) == 1, group
         for seed in range(20):
             ds = make_blobs(f"argmin{seed}", 100, 8, (0.4, 0.35, 0.25),
                             spread=2.0, seed=seed)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from distbench import describe, evaluate, list_metrics
+from distbench import describe, evaluate, list_metrics, pairwise
 from distbench.metrics import GuardPolicy, kernels
 from distbench.metrics.kernels import TERM_IS_ZERO
 
@@ -138,6 +138,14 @@ def test_hassanat_bound():
         assert np.all(values < DIM)
     per_dim = kernels.hassanat(np.array([0.0]), np.array([1e12]))
     assert 0.0 <= per_dim < 1.0
+
+
+def test_hassanat_is_zero_for_equal_values_far_below_zero():
+    # 1 + min rounds to min below about -2**53, so the shift goes onto min first
+    for low in (-1e15, -1e16, -1e20, -1e300):
+        assert evaluate("HasD", [low, 1.0], [low, 1.0]) == 0.0, low
+    rows = np.array([[-1e20, 1.0], [0.0, 1.0]])
+    assert pairwise("HasD", np.array([-1e20, 1.0]), rows)[0] == 0.0
 
 
 def test_pearson_degenerate_vectors():
