@@ -10,7 +10,6 @@ so the metric is the only varying factor inside a cell.
 from __future__ import annotations
 
 import os
-import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,6 @@ from ._seeds import derive_seed
 from .dataset import Dataset, SplitPlan, load_csv, split
 from .errors import ConfigError, DomainViolationError
 from .evaluation import (
-    RankRow,
     ScoreTriple,
     confusion,
     rank_distances,
@@ -63,8 +61,7 @@ class ExperimentConfig:
             raise ConfigError("no datasets configured")
         if not self.metrics:
             raise ConfigError("no metrics configured")
-        for abbrev in self.metrics:
-            describe(abbrev)  # raises UnknownMetricError
+        _check_metrics(self.metrics)
         if self.k < 1:
             raise ConfigError("k must be positive")
         if not 0.0 < self.test_fraction < 1.0:
@@ -78,6 +75,15 @@ class ExperimentConfig:
             raise ConfigError("top_n must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+
+
+def _check_metrics(metrics: tuple[str, ...]) -> None:
+    """Every metric is registered, and listed once so no record repeats."""
+    for abbrev in metrics:
+        describe(abbrev)  # raises UnknownMetricError
+    repeated = sorted({abbrev for abbrev in metrics if metrics.count(abbrev) > 1})
+    if repeated:
+        raise ConfigError(f"metric listed more than once: {', '.join(repeated)}")
 
 
 _CONFIG_KEYS = {"datasets", "metrics", "k", "test_fraction", "repetitions",
@@ -235,7 +241,14 @@ def _run_tasks(tasks: list[tuple], workers: int) -> tuple[list[RunRecord], list[
 
 
 def _load_datasets(cfg: ExperimentConfig) -> list[Dataset]:
-    return [load_csv(path) for path in cfg.datasets]
+    """The configured datasets; records key on the name, so names are unique."""
+    datasets = [load_csv(path) for path in cfg.datasets]
+    names = [ds.name for ds in datasets]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"datasets {cfg.datasets[names.index(name)]} and "
+                              f"{cfg.datasets[i]} both load under the name {name!r}")
+    return datasets
 
 
 def per_dataset_means(records: list[RunRecord], kind: str,
@@ -258,9 +271,9 @@ class SummaryRow:
     precision: float
 
 
-def summarize(records: list[RunRecord], level: float = 0.0) -> list[SummaryRow]:
-    """Per-metric overall means (mean of per-dataset means), best first."""
-    by_kind = {kind: per_dataset_means(records, kind, level) for kind in SCORE_KINDS}
+def summarize(records: list[RunRecord]) -> list[SummaryRow]:
+    """Per-metric means of per-dataset means on clean records, best first."""
+    by_kind = {kind: per_dataset_means(records, kind, 0.0) for kind in SCORE_KINDS}
     metrics = sorted(by_kind["accuracy"])
     rows = []
     for metric in metrics:
@@ -296,7 +309,7 @@ def run_clean_phase(cfg: ExperimentConfig) -> CleanResult:
              for ds in datasets
              for rep in range(cfg.repetitions)]
     records, skips = _run_tasks(tasks, workers)
-    return CleanResult(records, skips, summarize(records, level=0.0))
+    return CleanResult(records, skips, summarize(records))
 
 
 @dataclass(frozen=True)
@@ -304,41 +317,7 @@ class NoiseResult:
     records: list[RunRecord]
     skips: list[SkipRecord]
     metrics: tuple[str, ...]
-    # level -> kind -> rank table
-    rank_tables: dict[float, dict[str, list[RankRow]]]
-    # (level, metric, kind) -> (mean over datasets, mean per-dataset std)
-    level_stats: dict[tuple[float, str, str], tuple[float, float]]
-
-
-def _noise_rank_tables(records: list[RunRecord],
-                       levels: tuple[float, ...]) -> dict[float, dict[str, list[RankRow]]]:
-    tables: dict[float, dict[str, list[RankRow]]] = {}
-    for level in levels:
-        tables[level] = {}
-        for kind in SCORE_KINDS:
-            means = per_dataset_means(records, kind, level)
-            scores = {metric: list(per_ds.values()) for metric, per_ds in means.items()}
-            tables[level][kind] = rank_distances(scores)
-    return tables
-
-
-def _noise_level_stats(records: list[RunRecord], levels: tuple[float, ...]
-                       ) -> dict[tuple[float, str, str], tuple[float, float]]:
-    grouped: dict[tuple[float, str, str, str], list[float]] = {}
-    for rec in records:
-        for kind in SCORE_KINDS:
-            grouped.setdefault((rec.noise_level, rec.metric, kind, rec.dataset),
-                               []).append(rec.value(kind))
-    stats: dict[tuple[float, str, str], tuple[float, float]] = {}
-    per_level_metric: dict[tuple[float, str, str], list[tuple[float, float]]] = {}
-    for (level, metric, kind, _ds), values in grouped.items():
-        mean = sum(values) / len(values)
-        std = statistics.pstdev(values) if len(values) > 1 else 0.0
-        per_level_metric.setdefault((level, metric, kind), []).append((mean, std))
-    for key, pairs in per_level_metric.items():
-        stats[key] = (sum(m for m, _ in pairs) / len(pairs),
-                      sum(s for _, s in pairs) / len(pairs))
-    return stats
+    clean: CleanResult | None  # the clean phase that picked ``metrics``, if one ran
 
 
 def run_noise_phase(cfg: ExperimentConfig,
@@ -346,13 +325,15 @@ def run_noise_phase(cfg: ExperimentConfig,
     """Phase two: the top metrics on noise-corrupted copies of each dataset.
 
     When ``top_metrics`` is not given, the clean phase is run first and
-    the metrics ranking at most ``cfg.top_n`` by mean accuracy are used.
-    """
+    the metrics ranking at most ``cfg.top_n`` by mean accuracy are used,
+    and its result is kept as ``NoiseResult.clean``."""
     cfg.validate()
+    clean = None
     if top_metrics is None:
-        top_metrics = top_metrics_from_summary(run_clean_phase(cfg).summary, cfg.top_n)
-    for abbrev in top_metrics:
-        describe(abbrev)
+        clean = run_clean_phase(cfg)
+        top_metrics = top_metrics_from_summary(clean.summary, cfg.top_n)
+    top_metrics = tuple(top_metrics)
+    _check_metrics(top_metrics)
     levels = cfg.noise_levels or DEFAULT_NOISE_LEVELS
     datasets = _load_datasets(cfg)
     workers = _resolve_workers(cfg)
@@ -362,11 +343,9 @@ def run_noise_phase(cfg: ExperimentConfig,
         for level in levels:
             noisy = inject(ds, NoiseSpec(level, _noise_seed(cfg.master_seed, ds.name, level)))
             for rep in range(cfg.repetitions):
-                tasks.append((noisy, float(level), rep, tuple(top_metrics), cfg))
+                tasks.append((noisy, float(level), rep, top_metrics, cfg))
     records, skips = _run_tasks(tasks, workers)
-    return NoiseResult(records, skips, tuple(top_metrics),
-                       _noise_rank_tables(records, tuple(float(l) for l in levels)),
-                       _noise_level_stats(records, tuple(float(l) for l in levels)))
+    return NoiseResult(records, skips, top_metrics, clean)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from .bench import (
 from .errors import DistbenchError
 from .heap import keep_freed_heap
 from .reports import (
+    emit_report,
     rank_tables_markdown,
     read_records_csv,
     summary_markdown,
     write_records_csv,
-    emit_report,
 )
 
 
@@ -77,21 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_skips(skips) -> None:
+    for skip in skips:
+        level = f" level={skip.noise_level}" if skip.noise_level else ""
+        print(f"skipped dataset={skip.dataset} metric={skip.metric}{level}: {skip.reason}",
+              file=sys.stderr)
+
+
 def cmd_clean(args) -> int:
     cfg = parse_config(args.config)
     result = run_clean_phase(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_records_csv(result.records, out / "records.csv")
-    (out / "summary.md").write_text(summary_markdown(result.records), encoding="utf-8")
-    for skip in result.skips:
-        print(f"skipped dataset={skip.dataset} metric={skip.metric}: {skip.reason}",
-              file=sys.stderr)
+    write_records_csv(result.records, Path(args.out) / "records.csv")
+    emit_report(result.records, args.out)
+    _print_skips(result.skips)
     print(summary_markdown(result.records), end="")
     return 0
 
 
-def _noise_metrics(args, cfg):
+def _noise_metrics(args):
     if args.metrics:
         return tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if args.published_top:
@@ -103,19 +106,15 @@ def cmd_noise(args) -> int:
     cfg = parse_config(args.config)
     if args.top is not None:
         cfg = replace(cfg, top_n=args.top)
-    result = run_noise_phase(cfg, top_metrics=_noise_metrics(args, cfg))
+    result = run_noise_phase(cfg, top_metrics=_noise_metrics(args))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if result.clean is not None:
+        write_records_csv(result.clean.records, out / "records.csv")
+        emit_report(result.clean.records, out)
+        _print_skips(result.clean.skips)
     write_records_csv(result.records, out / "noise_records.csv")
-    (out / "rank_tables.md").write_text(rank_tables_markdown(result.records),
-                                        encoding="utf-8")
-    stats_lines = ["level,metric,kind,mean,stddev"]
-    for (level, metric, kind), (mean, std) in sorted(result.level_stats.items()):
-        stats_lines.append(f"{level!r},{metric},{kind},{mean!r},{std!r}")
-    (out / "level_stats.csv").write_text("\n".join(stats_lines) + "\n", encoding="utf-8")
-    for skip in result.skips:
-        print(f"skipped dataset={skip.dataset} metric={skip.metric} "
-              f"level={skip.noise_level}: {skip.reason}", file=sys.stderr)
+    emit_report(result.records, out)
+    _print_skips(result.skips)
     print(rank_tables_markdown(result.records), end="")
     return 0
 
@@ -151,7 +150,11 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     records = read_records_csv(args.records)
-    written = emit_report(records, args.format, args.out)
+    out = Path(args.out)
+    if args.format == "csv":
+        written = [write_records_csv(records, out / "records.csv")]
+    else:
+        written = emit_report(records, out)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -334,15 +334,18 @@ def motyka(x, y, guard=DEFAULT_GUARD):
 
 
 def hassanat(x, y, guard=DEFAULT_GUARD):
-    """Bounded per-dimension dissimilarity, each term in [0, 1).
+    """Bounded per-dimension dissimilarity, each term in [0, 1].
 
     For non-negative pairs the term is 1 - (1 + min) / (1 + max); when the
     minimum is negative both numerator and denominator are shifted by
-    |min| so the term stays in [0, 1) for any reals.
+    |min| for any reals. The exact term is below 1 but rounds to 1.0 once
+    the ratio is at most 2**-54, as for 0 against 1e20.
     """
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     shift = np.where(lo >= 0.0, 0.0, -lo)
     # lo + shift is lo itself or exactly 0, so equal values give 0 at any
-    # magnitude; 1 + lo + shift would round 1 away below about -2**53
-    return np.sum(1.0 - (1.0 + (lo + shift)) / (1.0 + (hi + shift)), axis=-1)
+    # magnitude; 1 + lo + shift would round 1 away below about -2**53.
+    # An overflowed denominator gives 1 - 1/inf, the correctly rounded 1.0.
+    with np.errstate(over="ignore"):
+        return np.sum(1.0 - (1.0 + (lo + shift)) / (1.0 + (hi + shift)), axis=-1)

@@ -1,4 +1,4 @@
-"""Report emission: the records CSV and the markdown summary tables.
+"""Report emission: the records CSV and the table files derived from it.
 
 Floats in the CSV are written with repr so rereading them is exact and
 two runs with the same seed produce byte-identical files. The CSV goes
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import statistics
 from pathlib import Path
 
 from .bench import RunRecord, SCORE_KINDS, per_dataset_means, summarize
@@ -44,6 +45,7 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 def write_records_csv(records: list[RunRecord], path) -> Path:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(records_to_csv(records), encoding="utf-8")
     return path
 
@@ -73,11 +75,11 @@ def read_records_csv(path) -> list[RunRecord]:
     return records
 
 
-def summary_markdown(records: list[RunRecord], level: float = 0.0) -> str:
-    """Per-metric mean accuracy/recall/precision table, best accuracy first."""
-    rows = summarize(records, level=level)
+def summary_markdown(records: list[RunRecord]) -> str:
+    """Per-metric mean accuracy/recall/precision on clean records, best first."""
+    rows = summarize(records)
     lines = [
-        f"# Mean scores per metric (noise level {level:g})",
+        "# Mean scores per metric (noise level 0)",
         "",
         "| Metric | Accuracy | Recall | Precision |",
         "| --- | --- | --- | --- |",
@@ -108,27 +110,38 @@ def rank_tables_markdown(records: list[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(records: list[RunRecord], format: str, out_dir) -> list[Path]:
-    """Write the report files for a record list; returns the paths written."""
+def level_stats_csv(records: list[RunRecord]) -> str:
+    """Mean and standard deviation per (level, metric, score kind), as CSV.
+
+    A row averages each dataset's mean and population standard deviation
+    over repetitions, summing datasets in their order in ``records``."""
+    grouped: dict[tuple[float, str, str], dict[str, list[float]]] = {}
+    for rec in records:
+        for kind in SCORE_KINDS:
+            grouped.setdefault((rec.noise_level, rec.metric, kind), {}).setdefault(
+                rec.dataset, []).append(rec.value(kind))
+    lines = ["level,metric,kind,mean,stddev"]
+    for (level, metric, kind), per_ds in sorted(grouped.items()):
+        means = [sum(values) / len(values) for values in per_ds.values()]
+        stds = [statistics.pstdev(values) for values in per_ds.values()]
+        lines.append(f"{level!r},{metric},{kind},{sum(means) / len(means)!r},"
+                     f"{sum(stds) / len(stds)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_report(records: list[RunRecord], out_dir) -> list[Path]:
+    """Write the table files of a record list and return their paths:
+    ``summary.md`` unless every record is noisy (an empty list gets one),
+    ``rank_tables.md`` and ``level_stats.csv`` if any record is noisy."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if format == "csv":
-        return [write_records_csv(records, out_dir / "records.csv")]
-    if format == "markdown":
-        written = []
-        summary_path = out_dir / "summary.md"
-        levels = sorted({rec.noise_level for rec in records})
-        base_level = 0.0 if 0.0 in levels else (levels[0] if levels else 0.0)
-        if records:
-            summary_path.write_text(summary_markdown(records, level=base_level),
-                                    encoding="utf-8")
-        else:
-            summary_path.write_text("# Mean scores per metric\n\n(no records)\n",
-                                    encoding="utf-8")
-        written.append(summary_path)
-        if any(rec.noise_level > 0.0 for rec in records):
-            ranks_path = out_dir / "rank_tables.md"
-            ranks_path.write_text(rank_tables_markdown(records), encoding="utf-8")
-            written.append(ranks_path)
-        return written
-    raise ConfigError(f"unknown report format {format!r}")
+    noisy = [rec.noise_level > 0.0 for rec in records]
+    tables = {}
+    if not records or not all(noisy):
+        tables["summary.md"] = summary_markdown(records)
+    if any(noisy):
+        tables["rank_tables.md"] = rank_tables_markdown(records)
+        tables["level_stats.csv"] = level_stats_csv(records)
+    for name, text in tables.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return [out_dir / name for name in tables]

@@ -1,5 +1,6 @@
 """Benchmark phases: seed sharing, skips, aggregation, comparison, reports."""
 
+import csv
 import math
 
 import numpy as np
@@ -23,8 +24,11 @@ from distbench.errors import ConfigError, UnknownMetricError
 from distbench.reports import (
     CSV_HEADER,
     emit_report,
+    level_stats_csv,
+    rank_tables_markdown,
     read_records_csv,
     records_to_csv,
+    summary_markdown,
     write_records_csv,
 )
 
@@ -91,18 +95,54 @@ def test_negative_features_skip_domain_restricted_metrics(tmp_path):
     assert len(result.skips) == 2   # once per level, not once per repetition
 
 
+def _rank_tables(text):
+    """(kind, level) -> the metrics of that table in rank_tables.md, best first."""
+    tables, kind = {}, None
+    for line in text.splitlines():
+        if line.startswith("## Ranking by "):
+            kind = line.removeprefix("## Ranking by ")
+        elif line.startswith("### Noise level "):
+            table = tables[kind, float(line.removeprefix("### Noise level "))] = []
+        elif line.startswith("| ") and not line.startswith(("| Rank", "| ---")):
+            table.append(line.split(" | ")[1])
+    return tables
+
+
 def test_noise_phase_records_and_rank_tables(tiny_config):
     from dataclasses import replace
     cfg = replace(tiny_config, noise_levels=(0.2, 0.5), metrics=("ED", "MD", "HasD"))
     result = run_noise_phase(cfg, top_metrics=("ED", "MD", "HasD"))
+    assert result.clean is None   # the metrics were given, so no clean phase ran
     assert len(result.records) == 2 * 2 * 3 * 3  # datasets x levels x reps x metrics
-    for level in (0.2, 0.5):
-        for kind in ("accuracy", "recall", "precision"):
-            table = result.rank_tables[level][kind]
-            assert sorted(row.metric for row in table) == ["ED", "HasD", "MD"]
-    for (level, metric, kind), (mean, std) in result.level_stats.items():
-        assert 0.0 <= mean <= 1.0
-        assert std >= 0.0
+    tables = _rank_tables(rank_tables_markdown(result.records))
+    kinds = ("accuracy", "recall", "precision")
+    assert set(tables) == {(kind, level) for kind in kinds for level in (0.2, 0.5)}
+    for table in tables.values():
+        assert sorted(table) == ["ED", "HasD", "MD"]
+    rows = list(csv.DictReader(level_stats_csv(result.records).splitlines()))
+    assert {(float(r["level"]), r["metric"], r["kind"]) for r in rows} == {
+        (level, metric, kind) for level in (0.2, 0.5)
+        for metric in ("ED", "HasD", "MD") for kind in kinds}
+    assert len(rows) == 2 * 3 * 3
+    for row in rows:
+        assert 0.0 <= float(row["mean"]) <= 1.0
+        assert float(row["stddev"]) >= 0.0
+
+
+def test_noise_phase_keeps_the_clean_phase_that_picked_its_metrics(tiny_config):
+    from dataclasses import replace
+    cfg = replace(tiny_config, noise_levels=(0.3,), top_n=2)
+    result = run_noise_phase(cfg)
+    clean = run_clean_phase(cfg)
+    assert result.clean == clean
+    assert result.metrics == top_metrics_from_summary(clean.summary, 2)
+
+
+def test_noise_phase_rejects_a_repeated_metric(tiny_config):
+    from dataclasses import replace
+    cfg = replace(tiny_config, noise_levels=(0.3,))
+    with pytest.raises(ConfigError, match="more than once: MD"):
+        run_noise_phase(cfg, top_metrics=("MD", "ED", "MD"))
 
 
 def test_noise_level_zero_matches_clean_phase(tiny_config):
@@ -205,12 +245,16 @@ def test_empty_records_csv_is_header_only(tmp_path):
 
 def test_emit_report_formats(tiny_config, tmp_path):
     result = run_clean_phase(tiny_config)
-    csv_paths = emit_report(result.records, "csv", tmp_path / "csv")
-    assert [p.name for p in csv_paths] == ["records.csv"]
-    md_paths = emit_report(result.records, "markdown", tmp_path / "md")
-    assert [p.name for p in md_paths] == ["summary.md"]
-    with pytest.raises(ConfigError):
-        emit_report(result.records, "xml", tmp_path)
+    paths = emit_report(result.records, tmp_path / "clean")
+    assert [p.name for p in paths] == ["summary.md"]
+    assert sorted(p.name for p in (tmp_path / "clean").iterdir()) == ["summary.md"]
+    assert paths[0].read_text() == summary_markdown(result.records)
+    # no records: a header-only summary table and nothing else
+    paths = emit_report([], tmp_path / "empty")
+    assert [p.name for p in paths] == ["summary.md"]
+    assert paths[0].read_text().splitlines() == [
+        "# Mean scores per metric (noise level 0)", "",
+        "| Metric | Accuracy | Recall | Precision |", "| --- | --- | --- | --- |"]
 
 
 def test_emit_report_rank_tables_for_noise_records(tmp_path):
@@ -220,13 +264,24 @@ def test_emit_report_rank_tables_for_noise_records(tmp_path):
             for rep in range(2):
                 v = 0.5 + 0.1 * rep
                 records.append(RunRecord("d", metric, level, rep, ScoreTriple(v, v, v)))
-    paths = emit_report(records, "markdown", tmp_path)
-    names = [p.name for p in paths]
-    assert "rank_tables.md" in names
-    text = (tmp_path / "rank_tables.md").read_text()
+    paths = emit_report(records, tmp_path / "noisy")
+    assert [p.name for p in paths] == ["rank_tables.md", "level_stats.csv"]
+    assert not (tmp_path / "noisy" / "summary.md").exists()
+    text = (tmp_path / "noisy" / "rank_tables.md").read_text()
     # one table per level per score kind, each listing both metrics once
     assert text.count("### Noise level 0.1") == 3
     assert text.count("| ED |") == 6
+    # scores 0.5 and 0.6 over two repetitions: mean 0.55, population std 0.05
+    stats = (tmp_path / "noisy" / "level_stats.csv").read_text().splitlines()
+    assert stats[0] == "level,metric,kind,mean,stddev"
+    assert len(stats) == 1 + 2 * 2 * 3
+    level, metric, kind, mean, std = stats[1].split(",")
+    assert (level, metric, kind) == ("0.1", "ED", "accuracy")
+    assert float(mean) == pytest.approx(0.55) and float(std) == pytest.approx(0.05)
+    # clean and noisy records together get every table
+    clean = [RunRecord("d", "ED", 0.0, 0, ScoreTriple(0.9, 0.9, 0.9))]
+    paths = emit_report(clean + records, tmp_path / "mixed")
+    assert [p.name for p in paths] == ["summary.md", "rank_tables.md", "level_stats.csv"]
 
 
 def test_full_determinism(tiny_config):
@@ -300,6 +355,8 @@ def test_config_errors(tmp_path):
 def test_config_validation():
     with pytest.raises(UnknownMetricError):
         ExperimentConfig(datasets=("x.csv",), metrics=("NOPE",)).validate()
+    with pytest.raises(ConfigError, match="more than once: ED"):
+        ExperimentConfig(datasets=("x.csv",), metrics=("ED", "ED", "MD")).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(datasets=(), metrics=("ED",)).validate()
     with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 """Property checks for the metric kernels: axioms, identities, guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ def test_max_min_symmetric_chi2():
 
 
 def test_hassanat_bound():
-    # each dimension contributes [0, 1), so the total stays below n
+    # each dimension contributes [0, 1], and below 1 at these magnitudes
     rng = np.random.default_rng(20)
     for scale in (1.0, 1e3, 1e9):
         x = rng.uniform(-scale, scale, size=(500, DIM))
@@ -138,6 +140,17 @@ def test_hassanat_bound():
         assert np.all(values < DIM)
     per_dim = kernels.hassanat(np.array([0.0]), np.array([1e12]))
     assert 0.0 <= per_dim < 1.0
+
+
+def test_hassanat_term_rounds_to_one_without_a_warning():
+    # the exact term is below 1 but rounds to 1.0; at +-1e308 the shifted
+    # maximum overflows to inf, which gives that same 1.0
+    assert kernels.hassanat(np.array([0.0]), np.array([1e20])) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate("HasD", [-1e308], [1e308]) == 1.0
+        rows = np.array([[1e308, 0.0], [-1e308, 0.0]])
+        assert pairwise("HasD", np.array([-1e308, 0.0]), rows).tolist() == [1.0, 0.0]
 
 
 def test_hassanat_is_zero_for_equal_values_far_below_zero():
