@@ -16,6 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ._seeds import derive_seed
 from .dataset import Dataset, SplitPlan, load_csv, split
 from .errors import ConfigError, DomainViolationError
@@ -29,7 +31,7 @@ from .evaluation import (
 )
 from .heap import keep_freed_heap
 from .knn import KnnModel, classify_batch
-from .metrics import CoreStore, describe, list_metrics
+from .metrics import Cell, describe, list_metrics
 from .noise import NoiseSpec, inject
 
 DEFAULT_NOISE_LEVELS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -175,43 +177,41 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
                cfg: ExperimentConfig) -> tuple[list[RunRecord], list[SkipRecord]]:
     """All metrics on one (dataset, level, repetition) cell.
 
-    A metric whose domain excludes the features, or whose distances are
-    not finite, is skipped with its reason; the others still run. The
-    metrics share one CoreStore and run in its order; records and skips
-    come back in the order of ``metrics``.
+    The cell walks the split's query blocks and classifies each block
+    with every metric still live, so the metrics share each block's pair
+    terms and cores. A metric whose domain excludes the features, or
+    whose distances in any block are not finite, is skipped with the
+    reason the cell gives; the others still run. Records and skips come
+    back in the order of ``metrics``.
     """
     plan = SplitPlan(cfg.test_fraction, cfg.repetitions,
                      _split_seed(cfg.master_seed, ds.name, level))
     train, test = split(ds, plan, repetition)
-    negative = ds.has_negative_features()
-    outcome: dict[str, RunRecord | SkipRecord] = {}
-    runnable = []
-    for abbrev in metrics:
-        desc = describe(abbrev)
-        if desc.requires_nonneg_inputs and negative:
-            outcome[abbrev] = SkipRecord(ds.name, abbrev, float(level),
-                                         "negative features outside metric domain")
-        else:
-            runnable.append(desc)
-    store = CoreStore(test.features, train.features, runnable)
-    for desc in store.order:
+    cell = Cell(test.features, train.features, metrics)
+    models = {desc.abbrev: KnnModel.from_dataset(train, desc, k=cfg.k) for desc in cell.live()}
+    predicted: dict[str, list] = {abbrev: [] for abbrev in models}
+    seconds = dict.fromkeys(models, 0.0)
+    for block in cell.blocks():
+        for desc in cell.live():
+            started = time.perf_counter()
+            try:
+                predicted[desc.abbrev].append(classify_batch(models[desc.abbrev], block, cell))
+            except DomainViolationError:
+                pass  # the cell has recorded the skip, so the metric is no longer live
+            seconds[desc.abbrev] += time.perf_counter() - started
+    records = []
+    for desc in cell.live():
         abbrev = desc.abbrev
         started = time.perf_counter()
-        model = KnnModel.from_dataset(train, desc, k=cfg.k)
-        try:
-            predicted = classify_batch(model, test.features, store)
-        except DomainViolationError as exc:
-            outcome[abbrev] = SkipRecord(ds.name, abbrev, float(level), str(exc))
-            continue
-        triple = score(confusion(test.labels, predicted, ds.n_classes))
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        triple = score(confusion(test.labels, np.concatenate(predicted[abbrev]), ds.n_classes))
+        elapsed_ms = (seconds[abbrev] + time.perf_counter() - started) * 1000.0
         print(f"cell dataset={ds.name} metric={abbrev} level={level} "
               f"rep={repetition} accuracy={triple.accuracy:.4f} ({elapsed_ms:.1f} ms)",
               file=sys.stderr)
-        outcome[abbrev] = RunRecord(ds.name, abbrev, float(level), repetition, triple)
-    results = [outcome[abbrev] for abbrev in metrics]
-    return ([r for r in results if isinstance(r, RunRecord)],
-            [r for r in results if isinstance(r, SkipRecord)])
+        records.append(RunRecord(ds.name, abbrev, float(level), repetition, triple))
+    skips = [SkipRecord(ds.name, abbrev, float(level), cell.skips[abbrev])
+             for abbrev in metrics if abbrev in cell.skips]
+    return records, skips
 
 
 def _resolve_workers(cfg: ExperimentConfig) -> int:
@@ -303,12 +303,14 @@ class CleanResult:
 def run_clean_phase(cfg: ExperimentConfig) -> CleanResult:
     """Phase one: every configured metric on every dataset, no noise."""
     cfg.validate()
-    datasets = _load_datasets(cfg)
-    workers = _resolve_workers(cfg)
+    return _clean_phase(cfg, _load_datasets(cfg))
+
+
+def _clean_phase(cfg: ExperimentConfig, datasets: list[Dataset]) -> CleanResult:
     tasks = [(ds, 0.0, rep, cfg.metrics, cfg)
              for ds in datasets
              for rep in range(cfg.repetitions)]
-    records, skips = _run_tasks(tasks, workers)
+    records, skips = _run_tasks(tasks, _resolve_workers(cfg))
     return CleanResult(records, skips, summarize(records))
 
 
@@ -326,16 +328,18 @@ def run_noise_phase(cfg: ExperimentConfig,
 
     When ``top_metrics`` is not given, the clean phase is run first and
     the metrics ranking at most ``cfg.top_n`` by mean accuracy are used,
-    and its result is kept as ``NoiseResult.clean``."""
+    and its result is kept as ``NoiseResult.clean``. Both phases score the
+    datasets loaded once."""
     cfg.validate()
+    if top_metrics is not None:
+        top_metrics = tuple(top_metrics)
+        _check_metrics(top_metrics)
+    datasets = _load_datasets(cfg)
     clean = None
     if top_metrics is None:
-        clean = run_clean_phase(cfg)
+        clean = _clean_phase(cfg, datasets)
         top_metrics = top_metrics_from_summary(clean.summary, cfg.top_n)
-    top_metrics = tuple(top_metrics)
-    _check_metrics(top_metrics)
     levels = cfg.noise_levels or DEFAULT_NOISE_LEVELS
-    datasets = _load_datasets(cfg)
     workers = _resolve_workers(cfg)
 
     tasks = []

@@ -94,9 +94,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.features)
 
-    def has_negative_features(self) -> bool:
-        return bool(np.any(self.features < 0.0))
-
     def to_csv(self, path) -> None:
         """Write the dataset back out; floats use repr so reloading is exact."""
         lines = []

@@ -61,9 +61,8 @@ def confusion(actual: Sequence[int], predicted: Sequence[int],
     for name, ids in (("actual", actual), ("predicted", predicted)):
         if ids.min() < 0 or ids.max() >= n_classes:
             raise ClassOutOfRangeError(f"{name} ids outside [0, {n_classes})")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (actual, predicted), 1)
-    return ConfusionMatrix(counts)
+    counts = np.bincount(actual * n_classes + predicted, minlength=n_classes * n_classes)
+    return ConfusionMatrix(counts.reshape(n_classes, n_classes))
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -73,7 +72,7 @@ def accuracy(cm: ConfusionMatrix) -> float:
 
 def _macro(tp: np.ndarray, denom: np.ndarray) -> float:
     # per-class 0/0 contributes 0 so the macro average is always defined
-    frac = np.where(denom == 0, 0.0, tp / np.where(denom == 0, 1, denom))
+    frac = np.divide(tp, denom, out=np.zeros(len(tp)), where=denom != 0)
     return float(np.mean(frac))
 
 

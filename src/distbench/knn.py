@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DimensionMismatchError
-from .metrics import CoreStore, GuardPolicy, MetricDescriptor, describe, pairwise
+from .metrics import Cell, GuardPolicy, MetricDescriptor, describe, pairwise
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,12 @@ class KnnModel:
 
 
 def _distances(model: KnnModel, queries, ndim: int,
-               store: CoreStore | None = None) -> np.ndarray:
+               cell: Cell | None = None) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != ndim:
         raise DimensionMismatchError(
             f"expected a {ndim}-d query, got shape {queries.shape}")
-    return pairwise(model.metric, queries, model.features, model.guard, store)
+    return pairwise(model.metric, queries, model.features, model.guard, cell)
 
 
 def _nearest(model: KnnModel, dist: np.ndarray) -> np.ndarray:
@@ -94,13 +94,14 @@ def classify(model: KnnModel, query) -> int:
     return _vote(model, dist)
 
 
-def classify_batch(model: KnnModel, queries, store: CoreStore | None = None) -> np.ndarray:
+def classify_batch(model: KnnModel, queries, cell: Cell | None = None) -> np.ndarray:
     """Predicted class ids for each row of a query matrix.
 
-    ``store`` is a CoreStore made for ``queries`` and the model's training
-    features, shared by the metrics of one cell; it changes no result.
+    With ``cell``, ``queries`` is the cell's current block and the model's
+    training features are the cell's rows; the metrics of the cell then
+    share the block's pair terms. It changes no result.
     """
-    dist = _distances(model, queries, 2, store)
+    dist = _distances(model, queries, 2, cell)
     if model.k == 1:  # argmin takes the lowest index on ties
         return model.labels[np.argmin(dist, axis=1)]
     return np.array([_vote(model, row) for row in dist], dtype=np.int64)

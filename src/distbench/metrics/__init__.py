@@ -4,8 +4,8 @@ from . import kernels
 from .kernels import DEFAULT_GUARD, EPSILON, GuardPolicy
 from .registry import (
     REGISTRY,
+    Cell,
     CoreKernel,
-    CoreStore,
     Family,
     MetricDescriptor,
     describe,
@@ -16,8 +16,8 @@ from .registry import (
 )
 
 __all__ = [
+    "Cell",
     "CoreKernel",
-    "CoreStore",
     "DEFAULT_GUARD",
     "EPSILON",
     "Family",

@@ -1,4 +1,4 @@
-"""The distance/similarity kernels and the shared cores.
+"""The distance/similarity kernels, the shared cores and the pair terms.
 
 28 measures have a kernel here. The other 26 are finished, in the
 registry, from the shared cores below: reductions such as the sum of
@@ -11,6 +11,12 @@ batches of pairs (b, n) vs (b, n). Reductions always run over the last
 axis. Callers are expected to pass float64 arrays; the registry front
 end does the conversion and the domain checks.
 
+Kernels that read elementwise terms such as x - y or min(x, y) are
+written over a PairTerms and wrapped by ``over_terms``, so they are
+still called as ``f(x, y, guard)``. A PairTerms computes each term once,
+so a registry.Cell that evaluates every metric of a query block on one
+PairTerms computes each term once per block.
+
 Division by zero and logs of non-positive arguments are resolved by a
 GuardPolicy: a term whose numerator (or log coefficient) is zero always
 contributes 0, otherwise the offending denominator/argument is replaced
@@ -22,6 +28,7 @@ for finite inputs in its domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,18 +59,27 @@ DEFAULT_GUARD = GuardPolicy()
 
 
 def _div(num, den, guard: GuardPolicy):
-    """num / den with zero denominators resolved by the guard policy."""
+    """num / den with zero denominators resolved by the guard policy.
+
+    A copy of the denominator holds 1 or the epsilon at each zero, so one
+    division gives every term, and one masked pass fixes up only the
+    flagged positions: zeroed, or num / epsilon turned +0.0 where num is
+    a zero of either sign.
+    """
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     bad = den == 0.0
-    if not np.any(bad):
+    if not bad.any():
         return num / den
-    out = num / np.where(bad, 1.0, den)
-    if guard.zero_denominator == TERM_IS_ZERO:
-        fallback = np.zeros_like(out)
+    zeroing = guard.zero_denominator == TERM_IS_ZERO
+    safe = den.copy()
+    safe[bad] = 1.0 if zeroing else guard.epsilon
+    out = np.asarray(num / safe)
+    if zeroing:
+        np.copyto(out, 0.0, where=bad)
     else:
-        fallback = num / guard.epsilon
-    return np.where(bad, np.where(num == 0.0, 0.0, fallback), out)
+        np.add(out, 0.0, out=out, where=bad)
+    return out
 
 
 def _xlog(coef, arg, guard: GuardPolicy):
@@ -71,10 +87,17 @@ def _xlog(coef, arg, guard: GuardPolicy):
     coef = np.asarray(coef, dtype=np.float64)
     arg = np.asarray(arg, dtype=np.float64)
     bad = arg <= 0.0
-    term = coef * np.log(np.where(bad, guard.epsilon, arg))
-    if guard.log_nonpositive == TERM_IS_ZERO:
-        term = np.where(bad, 0.0, term)
-    return np.where(coef == 0.0, 0.0, term)
+    flagged = bad.any()
+    if flagged:
+        arg = arg.copy()
+        arg[bad] = guard.epsilon
+    term = np.asarray(coef * np.log(arg))
+    if flagged and guard.log_nonpositive == TERM_IS_ZERO:
+        np.copyto(term, 0.0, where=bad)
+    zero = coef == 0.0
+    if zero.any():
+        np.copyto(term, 0.0, where=zero)
+    return term
 
 
 def _xlogx(value, guard: GuardPolicy):
@@ -86,33 +109,111 @@ def _dim(x, y) -> int:
     return np.broadcast_shapes(np.shape(x), np.shape(y))[-1]
 
 
+def _frozen(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+class PairTerms:
+    """Elementwise terms of x against y, each computed on first use and kept.
+
+    ``x`` and ``y`` broadcast against each other, as a kernel's arguments
+    do. Reading ``t.diff`` and the other names in TERMS computes that
+    term once; ``core()`` computes a core once per guard policy. Terms
+    and cores are read-only, so a kernel that writes into one fails
+    loudly instead of changing what the next metric reads.
+    """
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+        self._cores: dict = {}
+
+    def __getattr__(self, name):   # reached only for a term not yet computed
+        try:
+            recipe = TERMS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = _frozen(recipe(self))
+        setattr(self, name, value)
+        return value
+
+    def core(self, core, guard: GuardPolicy):
+        """The value of the shared core ``core`` under ``guard``, computed once."""
+        key = (core, guard)
+        value = self._cores.get(key)
+        if value is None:
+            value = self._cores[key] = _frozen(on_terms(core, self, guard))
+        return value
+
+
+# The shared pair terms, by attribute name: each is a function of the PairTerms.
+TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
+    "diff": lambda t: t.x - t.y,
+    "sum": lambda t: t.x + t.y,
+    "min": lambda t: np.minimum(t.x, t.y),
+    "max": lambda t: np.maximum(t.x, t.y),
+    "prod": lambda t: t.x * t.y,
+    "abs_diff": lambda t: np.abs(t.diff),
+    "sq_diff": lambda t: np.square(t.diff),
+    "sq_sum": lambda t: np.square(t.x) + np.square(t.y),
+}
+
+
+def over_terms(body):
+    """The kernel ``f(x, y, guard)`` computing ``body(PairTerms(x, y), guard)``.
+
+    ``f.over_terms`` is ``body``, which a caller holding the PairTerms of
+    several metrics calls directly.
+    """
+    def kernel(x, y, guard=DEFAULT_GUARD):
+        return body(PairTerms(x, y), guard)
+
+    kernel.__name__, kernel.__qualname__ = body.__name__, body.__qualname__
+    kernel.__doc__ = body.__doc__
+    kernel.over_terms = body
+    return kernel
+
+
+def on_terms(func, t: PairTerms, guard: GuardPolicy):
+    """A kernel or core evaluated on ``t``: through its body when it has one."""
+    body = getattr(func, "over_terms", None)
+    return body(t, guard) if body is not None else func(t.x, t.y, guard)
+
+
 # Shared cores: reductions ``(x, y, guard) -> values`` over the last axis.
 # The registry finishes 26 measures from them, so factor-related measures
 # agree to the last ulp.
 
-def abs_diff_sum(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def abs_diff_sum(t, guard):
     """Sum of absolute component differences."""
-    return np.sum(np.abs(x - y), axis=-1)
+    return np.sum(t.abs_diff, axis=-1)
 
 
-def abs_diff_max(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def abs_diff_max(t, guard):
     """Largest absolute component difference."""
-    return np.max(np.abs(x - y), axis=-1)
+    return np.max(t.abs_diff, axis=-1)
 
 
-def sq_diff_sum(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def sq_diff_sum(t, guard):
     """Sum of squared component differences."""
-    return np.sum(np.square(x - y), axis=-1)
+    return np.sum(t.sq_diff, axis=-1)
 
 
-def nonzero_count(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def nonzero_count(t, guard):
     """Count of positions where x or y is non-zero, as a float."""
-    return np.sum((np.square(x) + np.square(y)) != 0.0, axis=-1).astype(np.float64)
+    return np.sum(t.sq_sum != 0.0, axis=-1).astype(np.float64)
 
 
-def inner_product(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def inner_product(t, guard):
     """Sum of component products."""
-    return np.sum(x * y, axis=-1)
+    return np.sum(t.prod, axis=-1)
 
 
 def squared_chord_sum(x, y, guard=DEFAULT_GUARD):
@@ -120,24 +221,32 @@ def squared_chord_sum(x, y, guard=DEFAULT_GUARD):
     return np.sum(np.square(np.sqrt(x) - np.sqrt(y)), axis=-1)
 
 
-def squared_chi2_sum(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def squared_chi2_sum(t, guard):
     """Sum of squared differences over component sums."""
-    return np.sum(_div(np.square(x - y), x + y, guard), axis=-1)
+    return np.sum(_div(t.sq_diff, t.sum, guard), axis=-1)
 
 
-def neyman_sum(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def neyman_sum(t, guard):
     """Directed chi-squared sum with x as the reference: sum((x - y)^2 / x)."""
-    return np.sum(_div(np.square(x - y), x, guard), axis=-1)
+    return np.sum(_div(t.sq_diff, t.x, guard), axis=-1)
 
 
-def pearson_sum(x, y, guard=DEFAULT_GUARD):
-    """Directed chi-squared sum with y as the reference: sum((y - x)^2 / y)."""
-    return neyman_sum(y, x, guard)
+@over_terms
+def pearson_sum(t, guard):
+    """Directed chi-squared sum with y as the reference: sum((y - x)^2 / y).
+
+    (y - x)^2 is (x - y)^2 bit for bit: the two differences are exact
+    negations, zeros included up to sign, and squaring drops the sign.
+    """
+    return np.sum(_div(t.sq_diff, t.y, guard), axis=-1)
 
 
-def topsoe_sum(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def topsoe_sum(t, guard):
     """Topsoe information statistic, twice the Jensen-Shannon divergence."""
-    s = x + y
+    x, y, s = t.x, t.y, t.sum
     return np.sum(_xlog(x, _div(2.0 * x, s, guard), guard)
                   + _xlog(y, _div(2.0 * y, s, guard), guard), axis=-1)
 
@@ -154,29 +263,34 @@ def pearson_r(x, y, guard=DEFAULT_GUARD):
 
 # L1 family
 
-def lorentzian(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def lorentzian(t, guard):
     """Sum of ln(1 + |x - y|); the +1 keeps each term non-negative."""
-    return np.sum(np.log1p(np.abs(x - y)), axis=-1)
+    return np.sum(np.log1p(t.abs_diff), axis=-1)
 
 
-def canberra(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def canberra(t, guard):
     """Manhattan weighted per dimension by |x| + |y|."""
-    return np.sum(_div(np.abs(x - y), np.abs(x) + np.abs(y), guard), axis=-1)
+    return np.sum(_div(t.abs_diff, np.abs(t.x) + np.abs(t.y), guard), axis=-1)
 
 
-def sorensen(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def sorensen(t, guard):
     """Bray-Curtis: summed absolute differences over summed values."""
-    return _div(abs_diff_sum(x, y), np.sum(x + y, axis=-1), guard)
+    return _div(t.core(abs_diff_sum, guard), np.sum(t.sum, axis=-1), guard)
 
 
-def soergel(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def soergel(t, guard):
     """Summed absolute differences over summed component maxima."""
-    return _div(abs_diff_sum(x, y), np.sum(np.maximum(x, y), axis=-1), guard)
+    return _div(t.core(abs_diff_sum, guard), np.sum(t.max, axis=-1), guard)
 
 
-def kulczynski(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def kulczynski(t, guard):
     """Summed absolute differences over summed component minima."""
-    return _div(abs_diff_sum(x, y), np.sum(np.minimum(x, y), axis=-1), guard)
+    return _div(t.core(abs_diff_sum, guard), np.sum(t.min, axis=-1), guard)
 
 
 # Inner product family
@@ -195,32 +309,37 @@ def chord(x, y, guard=DEFAULT_GUARD):
 
 # Squared chord family (non-negative inputs only)
 
-def bhattacharyya(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def bhattacharyya(t, guard):
     """Negative log of the sum of geometric means; may be negative."""
-    s = np.sum(np.sqrt(x * y), axis=-1)
+    s = np.sum(np.sqrt(t.prod), axis=-1)
     return -_xlog(np.ones_like(s), s, guard)
 
 
 # Squared L2 family
 
-def clark(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def clark(t, guard):
     """Root of summed squared relative differences |x-y|/(x+y)."""
-    return np.sqrt(np.sum(np.square(_div(np.abs(x - y), x + y, guard)), axis=-1))
+    return np.sqrt(np.sum(np.square(_div(t.abs_diff, t.sum, guard)), axis=-1))
 
 
-def divergence(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def divergence(t, guard):
     """Twice the summed squared differences over squared component sums."""
-    return 2.0 * np.sum(_div(np.square(x - y), np.square(x + y), guard), axis=-1)
+    return 2.0 * np.sum(_div(t.sq_diff, np.square(t.sum), guard), axis=-1)
 
 
-def additive_symmetric_chi2(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def additive_symmetric_chi2(t, guard):
     """Symmetrized chi-squared: 2 * sum((x-y)^2 (x+y) / (x y))."""
-    return 2.0 * np.sum(_div(np.square(x - y) * (x + y), x * y, guard), axis=-1)
+    return 2.0 * np.sum(_div(t.sq_diff * t.sum, t.prod, guard), axis=-1)
 
 
-def squared_chi_squared(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def squared_chi_squared(t, guard):
     """Squared differences over the absolute component sums."""
-    return np.sum(_div(np.square(x - y), np.abs(x + y), guard), axis=-1)
+    return np.sum(_div(t.sq_diff, np.abs(t.sum), guard), axis=-1)
 
 
 # Shannon entropy family (non-negative inputs only)
@@ -230,69 +349,79 @@ def kullback_leibler(x, y, guard=DEFAULT_GUARD):
     return np.sum(_xlog(x, _div(x, y, guard), guard), axis=-1)
 
 
-def jeffreys(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def jeffreys(t, guard):
     """Symmetrized relative entropy: sum of (x - y) (ln x - ln y).
 
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
-    coef = x - y
+    x, y = t.x, t.y
     bad_x = x <= 0.0
     bad_y = y <= 0.0
-    term = coef * (np.log(np.where(bad_x, guard.epsilon, x))
-                   - np.log(np.where(bad_y, guard.epsilon, y)))
+    term = t.diff * (np.log(np.where(bad_x, guard.epsilon, x))
+                     - np.log(np.where(bad_y, guard.epsilon, y)))
     if guard.log_nonpositive == TERM_IS_ZERO:
-        term = np.where(bad_x | bad_y, 0.0, term)
-    return np.sum(np.where(coef == 0.0, 0.0, term), axis=-1)
+        np.copyto(term, 0.0, where=bad_x | bad_y)
+    np.copyto(term, 0.0, where=t.diff == 0.0)
+    return np.sum(term, axis=-1)
 
 
-def k_divergence(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def k_divergence(t, guard):
     """Divergence of x from the midpoint distribution."""
-    return np.sum(_xlog(x, _div(2.0 * x, x + y, guard), guard), axis=-1)
+    return np.sum(_xlog(t.x, _div(2.0 * t.x, t.sum, guard), guard), axis=-1)
 
 
-def jensen_difference(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def jensen_difference(t, guard):
     """Half the summed Jensen differences of the entropy function."""
-    m = 0.5 * (x + y)
-    terms = 0.5 * (_xlogx(x, guard) + _xlogx(y, guard)) - _xlogx(m, guard)
+    m = 0.5 * t.sum
+    terms = 0.5 * (_xlogx(t.x, guard) + _xlogx(t.y, guard)) - _xlogx(m, guard)
     return 0.5 * np.sum(terms, axis=-1)
 
 
 # Vicissitude family
 
-def vicis_wave_hedges(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def vicis_wave_hedges(t, guard):
     """Absolute differences over the component minima."""
-    return np.sum(_div(np.abs(x - y), np.minimum(x, y), guard), axis=-1)
+    return np.sum(_div(t.abs_diff, t.min, guard), axis=-1)
 
 
-def vicis_symmetric1(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def vicis_symmetric1(t, guard):
     """Squared differences over the squared component minima."""
-    return np.sum(_div(np.square(x - y), np.square(np.minimum(x, y)), guard), axis=-1)
+    return np.sum(_div(t.sq_diff, np.square(t.min), guard), axis=-1)
 
 
-def vicis_symmetric2(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def vicis_symmetric2(t, guard):
     """Squared differences over the component minima."""
-    return np.sum(_div(np.square(x - y), np.minimum(x, y), guard), axis=-1)
+    return np.sum(_div(t.sq_diff, t.min, guard), axis=-1)
 
 
-def vicis_symmetric3(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def vicis_symmetric3(t, guard):
     """Squared differences over the component maxima."""
-    return np.sum(_div(np.square(x - y), np.maximum(x, y), guard), axis=-1)
+    return np.sum(_div(t.sq_diff, t.max, guard), axis=-1)
 
 
 # Other measures
 
-def kumar_johnson(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def kumar_johnson(t, guard):
     """Sum of (x^2 + y^2)^2 / (2 (x y)^1.5)."""
-    num = np.square(np.square(x) + np.square(y))
-    den = 2.0 * np.power(x * y, 1.5)
+    num = np.square(t.sq_sum)
+    den = 2.0 * np.power(t.prod, 1.5)
     return np.sum(_div(num, den, guard), axis=-1)
 
 
-def taneja(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def taneja(t, guard):
     """Arithmetic-geometric mean divergence."""
-    m = 0.5 * (x + y)
-    arg = _div(x + y, 2.0 * np.sqrt(x * y), guard)
+    m = 0.5 * t.sum
+    arg = _div(t.sum, 2.0 * np.sqrt(t.prod), guard)
     return np.sum(_xlog(m, arg, guard), axis=-1)
 
 
@@ -309,10 +438,11 @@ def hausdorff(x, y, guard=DEFAULT_GUARD):
     return np.maximum(h_xy, h_yx)
 
 
-def chi2_statistic(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def chi2_statistic(t, guard):
     """Sum of (x - m) / m with m the per-dimension midpoint; sign-indefinite."""
-    m = 0.5 * (x + y)
-    return np.sum(_div(x - m, m, guard), axis=-1)
+    m = 0.5 * t.sum
+    return np.sum(_div(t.x - m, m, guard), axis=-1)
 
 
 def whittaker(x, y, guard=DEFAULT_GUARD):
@@ -322,18 +452,21 @@ def whittaker(x, y, guard=DEFAULT_GUARD):
     return 0.5 * np.sum(np.abs(_div(x, sx, guard) - _div(y, sy, guard)), axis=-1)
 
 
-def meehl(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def meehl(t, guard):
     """Sum over consecutive positions of (d_i - d_{i+1})^2 with d = x - y."""
-    d = x - y
+    d = t.diff
     return np.sum(np.square(d[..., :-1] - d[..., 1:]), axis=-1)
 
 
-def motyka(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def motyka(t, guard):
     """Summed component maxima over summed values; 0.5 at identical vectors."""
-    return _div(np.sum(np.maximum(x, y), axis=-1), np.sum(x + y, axis=-1), guard)
+    return _div(np.sum(t.max, axis=-1), np.sum(t.sum, axis=-1), guard)
 
 
-def hassanat(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def hassanat(t, guard):
     """Bounded per-dimension dissimilarity, each term in [0, 1].
 
     For non-negative pairs the term is 1 - (1 + min) / (1 + max); when the
@@ -341,11 +474,16 @@ def hassanat(x, y, guard=DEFAULT_GUARD):
     |min| for any reals. The exact term is below 1 but rounds to 1.0 once
     the ratio is at most 2**-54, as for 0 against 1e20.
     """
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    shift = np.where(lo >= 0.0, 0.0, -lo)
-    # lo + shift is lo itself or exactly 0, so equal values give 0 at any
-    # magnitude; 1 + lo + shift would round 1 away below about -2**53.
+    lo, hi = t.min, t.max
+    shifted = lo < 0.0
     # An overflowed denominator gives 1 - 1/inf, the correctly rounded 1.0.
     with np.errstate(over="ignore"):
-        return np.sum(1.0 - (1.0 + (lo + shift)) / (1.0 + (hi + shift)), axis=-1)
+        num = 1.0 + lo
+        den = 1.0 + hi
+        if shifted.any():
+            # lo + shift is exactly 0, so equal values give 0 at any
+            # magnitude; 1 + lo + shift would round 1 away below about -2**53.
+            shift = -lo[shifted]
+            num[shifted] = 1.0 + (lo[shifted] + shift)
+            den[shifted] = 1.0 + (hi[shifted] + shift)
+        return np.sum(1.0 - num / den, axis=-1)

@@ -11,7 +11,6 @@ Flags record what each measure guarantees on its declared domain:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -20,7 +19,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, DomainViolationError, UnknownMetricError
 from . import kernels
-from .kernels import DEFAULT_GUARD, GuardPolicy, _dim, _div
+from .kernels import DEFAULT_GUARD, GuardPolicy, PairTerms, _dim, _div, _frozen, on_terms
 
 
 class Family(str, Enum):
@@ -39,90 +38,96 @@ class CoreKernel:
     """A kernel written as a finisher applied to shared cores.
 
     Each core is a reduction ``(x, y, guard) -> values`` over the last
-    axis; ``finish(values, x, y, guard)`` turns the tuple of core values
-    into distances. Calling the kernel computes the cores and finishes
-    them, so it is the one formula of the measure. ``pairwise`` given a
-    CoreStore computes each core once for all the metrics that declare it.
+    axis; ``finish(values, terms, guard)`` turns the tuple of core values
+    into distances, reading ``terms.x`` and ``terms.y`` (a PairTerms) if
+    it needs the vectors. Calling the kernel computes the cores and
+    finishes them, so it is the one formula of the measure.
+    ``over_terms`` finishes from the cores a PairTerms shares, which a
+    Cell uses to compute each core once per query block.
     """
 
     cores: tuple[Callable[..., np.ndarray], ...]
     finish: Callable[..., np.ndarray]
 
     def __call__(self, x, y, guard=DEFAULT_GUARD):
-        return self.finish(tuple(core(x, y, guard) for core in self.cores), x, y, guard)
+        t = PairTerms(x, y)
+        return self.finish(tuple(on_terms(core, t, guard) for core in self.cores), t, guard)
+
+    def over_terms(self, t: PairTerms, guard: GuardPolicy):
+        return self.finish(tuple(t.core(core, guard) for core in self.cores), t, guard)
 
 
-# Finishers: (core values, x, y, guard) -> distances. Module-level
+# Finishers: (core values, pair terms, guard) -> distances. Module-level
 # functions, so descriptors pickle.
 
-def _itself(values, x, y, guard):
+def _itself(values, t, guard):
     return values[0]
 
 
-def _half(values, x, y, guard):
+def _half(values, t, guard):
     return 0.5 * values[0]
 
 
-def _twice(values, x, y, guard):
+def _twice(values, t, guard):
     return 2.0 * values[0]
 
 
-def _root(values, x, y, guard):
+def _root(values, t, guard):
     return np.sqrt(values[0])
 
 
-def _root_of_twice(values, x, y, guard):
+def _root_of_twice(values, t, guard):
     return np.sqrt(2.0 * values[0])
 
 
-def _per_dimension(values, x, y, guard):
-    return values[0] / _dim(x, y)
+def _per_dimension(values, t, guard):
+    return values[0] / _dim(t.x, t.y)
 
 
-def _root_per_dimension(values, x, y, guard):
-    return np.sqrt(values[0] / _dim(x, y))
+def _root_per_dimension(values, t, guard):
+    return np.sqrt(values[0] / _dim(t.x, t.y))
 
 
-def _root_per_nonzero(values, x, y, guard):
+def _root_per_nonzero(values, t, guard):
     return np.sqrt(_div(values[0], values[1], guard))
 
 
-def _larger(values, x, y, guard):
+def _larger(values, t, guard):
     return np.maximum(values[0], values[1])
 
 
-def _smaller(values, x, y, guard):
+def _smaller(values, t, guard):
     return np.minimum(values[0], values[1])
 
 
-def _mean(values, x, y, guard):
+def _mean(values, t, guard):
     return 0.5 * (values[0] + values[1])
 
 
-def _one_minus(values, x, y, guard):
+def _one_minus(values, t, guard):
     return 1.0 - values[0]
 
 
-def _half_of_one_minus(values, x, y, guard):
+def _half_of_one_minus(values, t, guard):
     return (1.0 - values[0]) / 2.0
 
 
-def _cosine(values, x, y, guard):
-    norms = np.sqrt(np.sum(np.square(x), axis=-1)) * np.sqrt(np.sum(np.square(y), axis=-1))
+def _cosine(values, t, guard):
+    norms = np.sqrt(np.sum(np.square(t.x), axis=-1)) * np.sqrt(np.sum(np.square(t.y), axis=-1))
     return 1.0 - _div(values[0], norms, guard)
 
 
-def _dice(values, x, y, guard):
-    squares = np.sum(np.square(x), axis=-1) + np.sum(np.square(y), axis=-1)
+def _dice(values, t, guard):
+    squares = np.sum(np.square(t.x), axis=-1) + np.sum(np.square(t.y), axis=-1)
     return 1.0 - _div(2.0 * values[0], squares, guard)
 
 
-def _jaccard(values, x, y, guard):
-    squares = np.sum(np.square(x), axis=-1) + np.sum(np.square(y), axis=-1)
+def _jaccard(values, t, guard):
+    squares = np.sum(np.square(t.x), axis=-1) + np.sum(np.square(t.y), axis=-1)
     return _div(values[0], squares - values[1], guard)
 
 
-def _squared_pearson(values, x, y, guard):
+def _squared_pearson(values, t, guard):
     # written via 1 - r so the algebraic tie to PeaD is bitwise
     s = 1.0 - (1.0 - values[0])
     return 1.0 - s * s
@@ -254,16 +259,6 @@ def _build_registry() -> dict[str, MetricDescriptor]:
 
 REGISTRY: dict[str, MetricDescriptor] = _build_registry()
 
-# Every core a registered metric declares, ordered so that the cores of one
-# metric are neighbours. Sorting a cell's metrics by the positions of their
-# cores therefore keeps the consumers of each core adjacent, so a cell holds
-# no more cores at once than one metric declares.
-CORES = (kernels.abs_diff_max, kernels.abs_diff_sum, kernels.inner_product,
-         kernels.sq_diff_sum, kernels.nonzero_count, kernels.squared_chord_sum,
-         kernels.squared_chi2_sum, kernels.neyman_sum, kernels.pearson_sum,
-         kernels.topsoe_sum, kernels.pearson_r)
-_CORE_POSITION = {core: i for i, core in enumerate(CORES)}
-
 
 def list_metrics(family: Family | str | None = None) -> tuple[str, ...]:
     """Abbreviations of all registered measures, optionally one family."""
@@ -287,12 +282,20 @@ def _resolve(metric: str | MetricDescriptor) -> MetricDescriptor:
     return describe(metric)
 
 
+def _domain_error(desc: MetricDescriptor) -> DomainViolationError:
+    return DomainViolationError(f"{desc.abbrev} requires non-negative inputs")
+
+
 def _check_domain(desc: MetricDescriptor, *arrays: np.ndarray) -> None:
     if desc.requires_nonneg_inputs:
         for arr in arrays:
             if np.any(arr < 0.0):
-                raise DomainViolationError(
-                    f"{desc.abbrev} requires non-negative inputs")
+                raise _domain_error(desc)
+
+
+def _check_finite(desc: MetricDescriptor, out: np.ndarray) -> None:
+    if not np.isfinite(out).all():
+        raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
 
 
 def evaluate(metric: str | MetricDescriptor, x, y,
@@ -377,77 +380,85 @@ def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
     return block
 
 
-def _cores(desc: MetricDescriptor) -> tuple:
-    return desc.func.cores if isinstance(desc.func, CoreKernel) else ()
+class Cell:
+    """One query matrix scored against one training matrix by several metrics.
 
+    A cell of the benchmark scores every configured metric on one split.
+    ``blocks()`` yields the queries in blocks sized from BLOCK_ELEMENTS.
+    While a block is current, ``pairwise(metric, block, rows, guard, cell)``
+    evaluates a metric on the block's PairTerms, so each pair term and each
+    core is computed once per block for every metric of the cell. Terms,
+    cores and the block's inputs are read-only views, and a block's terms
+    are dropped when the next block starts.
 
-def _core_positions(desc: MetricDescriptor) -> tuple[int, ...]:
-    return tuple(sorted(_CORE_POSITION.get(core, len(CORES)) for core in _cores(desc)))
+    The cell checks the domain once. HauD reads no pair term: at its
+    first block the cell computes its whole (t, m) matrix as ``pairwise``
+    does, sorting the rows once and keeping them in cache across blocks,
+    and each block takes its rows of that matrix. The cell also makes
+    every skip decision: ``skips`` maps a metric to its reason, set here
+    for a metric whose domain excludes the features and by ``pairwise``
+    for one whose distances in any block are not finite. ``live()``
+    lists the metrics not skipped, in the order given.
 
-
-class CoreStore:
-    """The shared cores of one query matrix against one training matrix.
-
-    A cell of the benchmark scores several metrics on the same split.
-    Given this store, ``pairwise`` finishes a metric declared as a
-    CoreKernel from the cores the store holds, computes the others, and
-    hands to the store each (t, m) core that a later metric of
-    ``metrics`` still needs. A core is dropped once its last consumer has
-    taken it, so after every metric has run once the store is empty.
-    ``order`` lists ``metrics`` with the consumers of each core adjacent.
-
-    The store is a cache: every distance is bitwise equal with and
-    without it. It belongs to the ``queries`` and ``rows`` arrays it was
-    made for, and ``pairwise`` refuses it for any other arrays.
+    Every distance is bitwise equal to ``pairwise`` without a cell.
+    ``pairwise`` refuses a cell for any arrays other than its current
+    block and its training rows.
     """
 
     def __init__(self, queries, rows, metrics):
-        self.queries = queries
-        self.rows = rows
-        descs = [_resolve(metric) for metric in metrics]
-        self.order = tuple(sorted(descs, key=_core_positions))
-        self._consumers = Counter(core for desc in descs for core in _cores(desc))
-        self._held: dict = {}   # core -> (guard, (t, m) values)
+        self.queries = np.asarray(queries, dtype=np.float64)
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.metrics = tuple(_resolve(metric) for metric in metrics)
+        self._negative = bool((self.queries < 0.0).any() or (self.rows < 0.0).any())
+        self.skips: dict[str, str] = {desc.abbrev: "negative features outside metric domain"
+                                      for desc in self.metrics
+                                      if desc.requires_nonneg_inputs and self._negative}
+        self.block: np.ndarray | None = None
+        self._span = (0, 0)
+        self._terms: PairTerms | None = None
+        self._hausdorff = None
 
-    def __len__(self) -> int:
-        """The number of cores held."""
-        return len(self._held)
+    def live(self) -> list[MetricDescriptor]:
+        """The metrics without a skip reason, in the order given."""
+        return [desc for desc in self.metrics if desc.abbrev not in self.skips]
 
-    def _blocks(self, kernel: CoreKernel, queries: np.ndarray, rows: np.ndarray,
-                guard: GuardPolicy):
-        """A block function finishing ``kernel`` from held or fresh core values."""
-        plan = []   # (core, (t, m) values or None, whether they are complete)
-        for core in kernel.cores:
-            self._consumers[core] -= 1
-            needed = self._consumers[core] > 0
-            held = self._held.get(core) if needed else self._held.pop(core, None)
-            if held is not None and held[0] == guard:
-                plan.append((core, held[1], True))
+    def blocks(self):
+        """Yield each block of query rows; it is the current block until the next."""
+        step = max(1, BLOCK_ELEMENTS // max(self.rows.size, 1))
+        rows = _frozen(self.rows.view())
+        try:
+            for start in range(0, len(self.queries), step):
+                self.block = self.queries[start:start + step]
+                self._span = (start, start + step)
+                self._terms = PairTerms(_frozen(self.block[:, None, :]), rows)
+                yield self.block
+        finally:
+            self.block = self._terms = None
+
+    def _distances(self, desc: MetricDescriptor, x, rows,
+                   guard: GuardPolicy | None) -> np.ndarray:
+        if x is not self.block or rows is not self.rows:
+            raise ValueError("a cell scores only its current query block against its rows")
+        try:
+            if desc.requires_nonneg_inputs and self._negative:
+                raise _domain_error(desc)
+            if desc.func is kernels.hausdorff:
+                if self._hausdorff is None:
+                    self._hausdorff = pairwise(desc, self.queries, self.rows)
+                out = self._hausdorff[self._span[0]:self._span[1]]
             else:
-                plan.append((core, np.empty((len(queries), len(rows))) if needed else None,
-                             False))
-
-        def block(start: int, stop: int) -> np.ndarray:
-            x = queries[start:stop, None, :]
-            values = []
-            for core, kept, complete in plan:
-                if complete:
-                    values.append(kept[start:stop])
-                    continue
-                value = core(x, rows, guard)
-                if kept is not None:
-                    kept[start:stop] = value
-                    if stop >= len(queries):   # the last block: every row is filled
-                        self._held[core] = (guard, kept)
-                values.append(value)
-            return kernel.finish(tuple(values), x, rows, guard)
-
-        return block
+                out = on_terms(desc.func, self._terms,
+                               guard if guard is not None else desc.guard)
+            _check_finite(desc, out)
+        except DomainViolationError as exc:
+            self.skips.setdefault(desc.abbrev, str(exc))
+            raise
+        return out
 
 
 def pairwise(metric: str | MetricDescriptor, x, rows,
              guard: GuardPolicy | None = None,
-             store: CoreStore | None = None) -> np.ndarray:
+             cell: Cell | None = None) -> np.ndarray:
     """Dissimilarity from a query vector, or each query row, to every row of a matrix.
 
     ``x`` is one query of shape (n,), giving (m,) distances, or a query
@@ -456,24 +467,23 @@ def pairwise(metric: str | MetricDescriptor, x, rows,
     (KLD, KDD, NCSD, PCSD, CSSD). Queries are evaluated in blocks sized
     from ``BLOCK_ELEMENTS``; every distance is bitwise equal to evaluating
     that query alone. A non-finite distance raises DomainViolationError.
-    ``store``, a CoreStore made for these ``x`` and ``rows`` arrays, lets
-    the metrics of one cell share their cores; it changes no result.
+    With ``cell``, ``x`` is the cell's current block and ``rows`` its
+    training rows, and the distances are finished from the terms the
+    block shares with the cell's other metrics; they are the same bits.
     """
     desc = _resolve(metric)
+    if cell is not None:
+        return cell._distances(desc, x, rows, guard)
     x = np.asarray(x, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
     if x.ndim not in (1, 2) or rows.ndim != 2 or rows.shape[1] != x.shape[-1]:
         raise DimensionMismatchError(
             f"expected (n,) or (t, n) against (m, n), got {x.shape} and {rows.shape}")
-    if store is not None and (x is not store.queries or rows is not store.rows):
-        raise ValueError("the core store was made for other query or training arrays")
     _check_domain(desc, x, rows)
     guard = guard if guard is not None else desc.guard
-    queries = x.reshape(-1, x.shape[-1])
+    queries = x if x.ndim == 2 else x[None]
     if desc.func is kernels.hausdorff:
         block = _hausdorff_blocks(queries, rows)
-    elif store is not None and isinstance(desc.func, CoreKernel):
-        block = store._blocks(desc.func, queries, rows, guard)
     else:
         def block(start: int, stop: int) -> np.ndarray:
             return desc.func(queries[start:stop, None, :], rows, guard)
@@ -481,6 +491,5 @@ def pairwise(metric: str | MetricDescriptor, x, rows,
     step = max(1, BLOCK_ELEMENTS // max(rows.size, 1))
     for start in range(0, len(queries), step):
         out[start:start + step] = block(start, start + step)
-    if not np.all(np.isfinite(out)):
-        raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
+    _check_finite(desc, out)
     return out if x.ndim == 2 else out[0]

@@ -4,10 +4,17 @@ Everything here deliberately avoids the package's own numeric paths:
 the distance references run on decimal arithmetic at 50 significant
 digits, the rank-sum oracle enumerates every assignment by brute force,
 and the macro-average reference is a plain loop over label lists.
+
+The guard references at the end are the straightforward full-array
+forms of the kernels' guard helpers, written with ``np.where``; the
+kernels' helpers substitute only the flagged positions and must agree
+with them bit for bit.
 """
 
 from decimal import Decimal, getcontext
 from itertools import combinations
+
+import numpy as np
 
 getcontext().prec = 50
 
@@ -140,3 +147,63 @@ def macro_scores_ref(actual, predicted, n_classes):
         precisions.append(tp / predicted_cls if predicted_cls else 0.0)
         recalls.append(tp / actual_cls if actual_cls else 0.0)
     return sum(precisions) / n_classes, sum(recalls) / n_classes
+
+
+# -- guard references: full-array np.where forms -----------------------------
+
+TERM_IS_ZERO = "term_is_zero"
+
+
+def div_ref(num, den, guard):
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    bad = den == 0.0
+    if not np.any(bad):
+        return num / den
+    out = num / np.where(bad, 1.0, den)
+    if guard.zero_denominator == TERM_IS_ZERO:
+        fallback = np.zeros_like(out)
+    else:
+        fallback = num / guard.epsilon
+    return np.where(bad, np.where(num == 0.0, 0.0, fallback), out)
+
+
+def xlog_ref(coef, arg, guard):
+    coef = np.asarray(coef, dtype=np.float64)
+    arg = np.asarray(arg, dtype=np.float64)
+    bad = arg <= 0.0
+    term = coef * np.log(np.where(bad, guard.epsilon, arg))
+    if guard.log_nonpositive == TERM_IS_ZERO:
+        term = np.where(bad, 0.0, term)
+    return np.where(coef == 0.0, 0.0, term)
+
+
+def jeffreys_ref(x, y, guard):
+    coef = x - y
+    bad_x = x <= 0.0
+    bad_y = y <= 0.0
+    term = coef * (np.log(np.where(bad_x, guard.epsilon, x))
+                   - np.log(np.where(bad_y, guard.epsilon, y)))
+    if guard.log_nonpositive == TERM_IS_ZERO:
+        term = np.where(bad_x | bad_y, 0.0, term)
+    return np.sum(np.where(coef == 0.0, 0.0, term), axis=-1)
+
+
+def hassanat_ref(x, y, guard):
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    shift = np.where(lo >= 0.0, 0.0, -lo)
+    with np.errstate(over="ignore"):
+        return np.sum(1.0 - (1.0 + (lo + shift)) / (1.0 + (hi + shift)), axis=-1)
+
+
+def confusion_counts_ref(actual, predicted, n_classes):
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(counts, (np.asarray(actual), np.asarray(predicted)), 1)
+    return counts
+
+
+def macro_ref(tp, denom):
+    """The full-array form of a macro average: per-class 0/0 contributes 0."""
+    frac = np.where(denom == 0, 0.0, tp / np.where(denom == 0, 1, denom))
+    return float(np.mean(frac))

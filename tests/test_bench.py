@@ -129,6 +129,31 @@ def test_noise_phase_records_and_rank_tables(tiny_config):
         assert float(row["stddev"]) >= 0.0
 
 
+def test_level_stats_csv_reads_back_as_the_records_aggregated(tiny_config, tmp_path):
+    import statistics
+    from dataclasses import replace
+    result = run_noise_phase(replace(tiny_config, noise_levels=(0.2, 0.5)),
+                             top_metrics=("ED", "MD", "HasD"))
+    emit_report(result.records, tmp_path)
+    with (tmp_path / "level_stats.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["level", "metric", "kind", "mean", "stddev"]
+    kinds = ("accuracy", "recall", "precision")
+    keys = sorted({(rec.noise_level, rec.metric, kind) for rec in result.records for kind in kinds})
+    assert [(float(level), metric, kind) for level, metric, kind, _m, _s in rows[1:]] == keys
+    for level, metric, kind, mean, stddev in rows[1:]:
+        # each dataset's repetitions, then the datasets in the order the records list them
+        per_ds: dict[str, list[float]] = {}
+        for rec in result.records:
+            if (rec.noise_level, rec.metric) == (float(level), metric):
+                per_ds.setdefault(rec.dataset, []).append(rec.value(kind))
+        assert list(per_ds) == ["alpha", "beta"]
+        means = [sum(values) / len(values) for values in per_ds.values()]
+        stds = [statistics.pstdev(values) for values in per_ds.values()]
+        assert float(mean) == sum(means) / len(means), (level, metric, kind)
+        assert float(stddev) == sum(stds) / len(stds), (level, metric, kind)
+
+
 def test_noise_phase_keeps_the_clean_phase_that_picked_its_metrics(tiny_config):
     from dataclasses import replace
     cfg = replace(tiny_config, noise_levels=(0.3,), top_n=2)
@@ -136,6 +161,21 @@ def test_noise_phase_keeps_the_clean_phase_that_picked_its_metrics(tiny_config):
     clean = run_clean_phase(cfg)
     assert result.clean == clean
     assert result.metrics == top_metrics_from_summary(clean.summary, 2)
+
+
+@pytest.mark.parametrize("top_metrics", (None, ("ED", "MD")), ids=("clean phase first", "given"))
+def test_noise_phase_parses_each_dataset_once(tiny_config, top_metrics, monkeypatch):
+    from dataclasses import replace
+    from distbench import bench
+    loads, load_csv = [], bench.load_csv
+
+    def counting(path, *args, **kwargs):
+        loads.append(path)
+        return load_csv(path, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "load_csv", counting)
+    run_noise_phase(replace(tiny_config, noise_levels=(0.3,), top_n=2), top_metrics)
+    assert loads == list(tiny_config.datasets)
 
 
 def test_noise_phase_rejects_a_repeated_metric(tiny_config):

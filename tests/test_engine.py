@@ -5,11 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from distbench import (ExperimentConfig, KnnModel, SplitPlan, classify, classify_batch,
+from distbench import (Cell, ExperimentConfig, KnnModel, SplitPlan, classify, classify_batch,
                        describe, list_metrics, pairwise, split)
 from distbench.bench import _run_block, _split_seed
 from distbench.errors import DomainViolationError
-from distbench.metrics import CoreKernel, CoreStore, GuardPolicy, kernels, registry
+from distbench.metrics import CoreKernel, GuardPolicy, kernels, registry
 from distbench.metrics.kernels import TERM_IS_ZERO
 
 from conftest import make_blobs
@@ -96,11 +96,6 @@ def test_classify_batch_k3_equals_per_query_classify(abbrev):
     assert batch.tolist() == [classify(model, q) for q in queries]
 
 
-def _cores(abbrev):
-    func = describe(abbrev).func
-    return func.cores if isinstance(func, CoreKernel) else ()
-
-
 def test_shared_core_is_computed_once_per_cell(monkeypatch):
     # MD, MCD, NID and AvgD finish from the absolute-difference core; one cell
     # scores each (query, training row) pair of it once, in blocks of 5 queries
@@ -128,6 +123,51 @@ def test_shared_core_is_computed_once_per_cell(monkeypatch):
     assert sum(pairs) == len(test) * len(train)
 
 
+def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
+    rng = np.random.default_rng(12)
+    rows = _tied_values(rng, (23, 5), negative=False)
+    queries = _tied_values(rng, (10, 5), negative=False)
+    monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * rows.size)   # blocks of 4, 4 and 2
+    computed = []
+    for name, recipe in list(kernels.TERMS.items()):
+        monkeypatch.setitem(kernels.TERMS, name,
+                            lambda t, name=name, recipe=recipe: (computed.append(name),
+                                                                 recipe(t))[1])
+    on_terms = kernels.on_terms   # PairTerms.core computes a core through it
+
+    def counting(func, t, guard):
+        computed.append(func.__name__)
+        return on_terms(func, t, guard)
+
+    monkeypatch.setattr(kernels, "on_terms", counting)
+    cell = Cell(queries, rows, list_metrics())
+    blocks = 0
+    for block in cell.blocks():
+        blocks += 1
+        for desc in cell.live():
+            pairwise(desc, block, rows, None, cell)
+    cores = {core.__name__ for abbrev in list_metrics()
+             for core in getattr(describe(abbrev).func, "cores", ())}
+    assert blocks == 3 and not cell.skips
+    assert sorted(set(computed)) == sorted(set(kernels.TERMS) | cores)
+    for name in set(computed):
+        assert computed.count(name) == blocks, name
+
+
+def _outcome(compute):
+    """The bits of a distance matrix, or the type and text of the error raised."""
+    try:
+        return _bits(compute())
+    except Exception as exc:   # both paths must fail alike
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    return not isinstance(got, tuple) and np.array_equal(got, want)
+
+
 CELLS = {
     "all in config order": list_metrics(),
     "all reversed": list_metrics()[::-1],
@@ -140,47 +180,36 @@ CELLS = {
 
 @pytest.mark.parametrize("metrics", CELLS.values(), ids=CELLS.keys())
 def test_core_store_changes_no_distance(metrics, monkeypatch):
+    # the cell stores each block's pair terms and cores for all its metrics;
+    # through it every distance and prediction is the library path's, bit for bit
     rng = np.random.default_rng(len(metrics))
-    rows = _tied_values(rng, (37, 13), negative=False)
-    queries = _tied_values(rng, (11, 13), negative=False)
-    queries[0] = rows[5]
-    rows[3, :4] = 0.0                          # zero denominators and log arguments
-    labels = rng.integers(0, 3, size=37)
-    # blocks of 4 queries, the last one short
-    monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * rows.size)
-    for call in ("pairwise", "classify_batch"):
-        store = CoreStore(queries, rows, metrics)
-        for abbrev in metrics:
-            if call == "pairwise":
-                got = pairwise(abbrev, queries, rows, store=store)
-                want = pairwise(abbrev, queries, rows)
-            else:
-                model = KnnModel(rows, labels, metric=describe(abbrev), k=3)
-                got = classify_batch(model, queries, store)
-                want = classify_batch(model, queries)
-            assert np.array_equal(_bits(got), _bits(want)), (call, abbrev)
-        assert len(store) == 0                 # every core dropped after its last consumer
-
-
-def test_cell_order_keeps_the_consumers_of_each_core_adjacent():
-    rng = np.random.default_rng(3)
-    rows = _tied_values(rng, (20, 6), negative=False)
-    queries = _tied_values(rng, (7, 6), negative=False)
-    store = CoreStore(queries, rows, list_metrics())
-    order = [desc.abbrev for desc in store.order]
-    assert sorted(order) == sorted(list_metrics())
-    declared = {core for abbrev in order for core in _cores(abbrev)}
-    assert declared == set(registry.CORES)
-    for core in registry.CORES:
-        at = [i for i, abbrev in enumerate(order) if core in _cores(abbrev)]
-        assert at == list(range(at[0], at[-1] + 1)), (core.__name__, order)
-    held = []
-    for desc in store.order:
-        pairwise(desc, queries, rows, store=store)
-        held.append(len(store))
-    # one core at a time, except both Neyman sums between MSCD and MiSCSD
-    assert max(held) == 2 and held.count(2) == 1, list(zip(order, held))
-    assert len(store) == 0
+    zeroing = GuardPolicy(zero_denominator=TERM_IS_ZERO, log_nonpositive=TERM_IS_ZERO)
+    for n in (13, 0):                          # zero features as well
+        rows = _tied_values(rng, (37, n), negative=False)
+        queries = _tied_values(rng, (11, n), negative=False)
+        queries[0] = rows[5]
+        rows[3, :4] = 0.0                      # zero denominators and log arguments
+        labels = rng.integers(0, 3, size=37)
+        # blocks of 4 queries, the last one short; one block without features
+        monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * max(rows.size, 1))
+        for guard in (None, zeroing):
+            want = {abbrev: _outcome(lambda: pairwise(abbrev, queries, rows, guard))
+                    for abbrev in metrics}
+            cell = Cell(queries, rows, metrics)
+            start = 0
+            for block in cell.blocks():
+                at = slice(start, start + len(block))
+                start += len(block)
+                for abbrev in metrics:
+                    expected = want[abbrev] if isinstance(want[abbrev], tuple) else want[abbrev][at]
+                    got = _outcome(lambda: pairwise(abbrev, block, rows, guard, cell))
+                    assert _same(got, expected), (abbrev, n, guard)
+                    if isinstance(expected, tuple):
+                        continue
+                    model = KnnModel(rows, labels, describe(abbrev), k=3, guard=guard)
+                    assert np.array_equal(classify_batch(model, block, cell),
+                                          classify_batch(model, queries[at])), (abbrev, n)
+            assert start == len(queries) and cell.block is None
 
 
 def test_core_store_keeps_cores_of_one_guard_policy():
@@ -188,13 +217,13 @@ def test_core_store_keeps_cores_of_one_guard_policy():
     rows = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
     queries = np.array([[0.0, 2.0], [1.0, 0.0]])
     zeroing = GuardPolicy(zero_denominator=TERM_IS_ZERO)
-    store = CoreStore(queries, rows, ("NCSD", "MSCD"))
-    zeroed = pairwise("NCSD", queries, rows, zeroing, store)
-    assert np.array_equal(_bits(zeroed), _bits(pairwise("NCSD", queries, rows, zeroing)))
-    got = pairwise("MSCD", queries, rows, store=store)
-    assert np.array_equal(_bits(got), _bits(pairwise("MSCD", queries, rows)))
-    assert not np.array_equal(zeroed, pairwise("NCSD", queries, rows))
-    assert len(store) == 0
+    cell = Cell(queries, rows, ("NCSD", "MSCD"))
+    for block in cell.blocks():
+        zeroed = pairwise("NCSD", block, rows, zeroing, cell)
+        assert np.array_equal(_bits(zeroed), _bits(pairwise("NCSD", queries, rows, zeroing)))
+        got = pairwise("MSCD", block, rows, None, cell)
+        assert np.array_equal(_bits(got), _bits(pairwise("MSCD", queries, rows)))
+        assert not np.array_equal(zeroed, pairwise("NCSD", queries, rows))
 
 
 def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
@@ -202,33 +231,59 @@ def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
     rows = rng.uniform(0.0, 1.0, size=(8, 3))
     queries = rng.uniform(0.0, 1.0, size=(6, 3))
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 2 * rows.size)   # blocks of 2 queries
-    blocks = []
+    calls = []
 
-    def failing_second_block(x, y, guard):
-        blocks.append(len(x))
-        if len(blocks) == 2:
-            raise FloatingPointError("second block")
+    def failing_second_call(x, y, guard):
+        calls.append(len(x))
+        if len(calls) == 2:
+            raise FloatingPointError("second call")
         return kernels.abs_diff_sum(x, y, guard)
 
-    md, mcd = (dataclasses.replace(describe(a), func=CoreKernel((failing_second_block,),
+    md, mcd = (dataclasses.replace(describe(a), func=CoreKernel((failing_second_call,),
                                                                 describe(a).func.finish))
                for a in ("MD", "MCD"))
-    store = CoreStore(queries, rows, (md, mcd))
+    cell = Cell(queries, rows, (md, mcd))
+    want = pairwise("MCD", queries, rows)
+    blocks = cell.blocks()
+    block = next(blocks)
+    pairwise(md, block, rows, None, cell)
+    pairwise(mcd, block, rows, None, cell)       # the core MD computed
+    block = next(blocks)
     with pytest.raises(FloatingPointError):
-        pairwise(md, queries, rows, store=store)
-    assert len(store) == 0                     # no half-filled core
-    got = pairwise(mcd, queries, rows, store=store)
-    assert np.array_equal(_bits(got), _bits(pairwise("MCD", queries, rows)))
+        pairwise(md, block, rows, None, cell)
+    got = pairwise(mcd, block, rows, None, cell)  # computes the core again: nothing half kept
+    assert np.array_equal(_bits(got), _bits(want[2:4]))
+    assert calls == [2, 2, 2]
 
 
 def test_core_store_refuses_other_arrays():
     rng = np.random.default_rng(4)
     rows = rng.uniform(0.0, 1.0, size=(9, 3))
     queries = rng.uniform(0.0, 1.0, size=(5, 3))
-    store = CoreStore(queries, rows, ("MD", "MCD"))
-    with pytest.raises(ValueError, match="other query or training arrays"):
-        pairwise("MD", queries.copy(), rows, store=store)
-    with pytest.raises(ValueError, match="other query or training arrays"):
-        classify_batch(KnnModel(rows.copy(), np.zeros(9), describe("MD")), queries, store)
-    model = KnnModel(rows, np.zeros(9), describe("MD"))
-    assert classify_batch(model, queries, store).tolist() == [0] * 5
+    cell = Cell(queries, rows, ("MD", "MCD"))
+    with pytest.raises(ValueError, match="current query block"):
+        pairwise("MD", queries, rows, None, cell)     # no block is current yet
+    for block in cell.blocks():
+        with pytest.raises(ValueError, match="current query block"):
+            pairwise("MD", block.copy(), rows, None, cell)
+        with pytest.raises(ValueError, match="current query block"):
+            classify_batch(KnnModel(rows.copy(), np.zeros(9), describe("MD")), block, cell)
+        model = KnnModel(rows, np.zeros(9), describe("MD"))
+        assert classify_batch(model, block, cell).tolist() == [0] * 5
+
+
+@pytest.mark.parametrize("target", ("diff", "x", "y"))
+def test_a_kernel_writing_into_a_shared_term_fails_loudly(target):
+    rows = np.array([[0.0, 1.0], [2.0, 0.5]])
+    queries = np.array([[1.0, 2.0]])
+
+    def writing(t, guard):
+        getattr(t, target)[...] = 0.0
+        return np.sum(t.abs_diff, axis=-1)
+
+    desc = dataclasses.replace(describe("MD"), abbrev="MD*", func=kernels.over_terms(writing))
+    cell = Cell(queries, rows, (desc,))
+    for block in cell.blocks():
+        with pytest.raises(ValueError, match="read-only"):
+            pairwise(desc, block, rows, None, cell)
+    assert rows.flags.writeable and queries.flags.writeable   # only the cell's views are frozen

@@ -14,7 +14,7 @@ from distbench import (
 )
 from distbench.errors import ClassOutOfRangeError, LengthMismatchError
 
-from _reference import macro_scores_ref
+from _reference import confusion_counts_ref, macro_ref, macro_scores_ref
 
 
 def test_confusion_counts():
@@ -45,6 +45,22 @@ def test_confusion_errors():
         confusion([0, 2], [0, 1], 2)
     with pytest.raises(ClassOutOfRangeError):
         confusion([0, 1], [0, -1], 2)
+
+
+def test_scores_equal_the_full_array_forms_bit_for_bit():
+    rng = np.random.default_rng(3000)
+    for _ in range(3000):
+        n_classes = int(rng.integers(1, 7))
+        size = int(rng.integers(1, 40))
+        actual = rng.integers(0, n_classes, size=size)
+        predicted = rng.integers(0, n_classes, size=size)
+        counts = confusion_counts_ref(actual, predicted, n_classes)
+        cm = confusion(actual, predicted, n_classes)
+        assert cm.counts.dtype == np.int64 and np.array_equal(cm.counts, counts)
+        tp = np.diag(counts)
+        want = (macro_ref(tp, counts.sum(axis=0)), macro_ref(tp, counts.sum(axis=1)))
+        got = (macro_precision(cm), macro_recall(cm))
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 def test_accuracy_example():
