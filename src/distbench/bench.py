@@ -9,6 +9,7 @@ so the metric is the only varying factor inside a cell.
 
 from __future__ import annotations
 
+import csv
 import os
 import sys
 import time
@@ -115,7 +116,9 @@ def parse_config(path) -> ExperimentConfig:
         raw[key] = value
 
     def split_list(value: str) -> tuple[str, ...]:
-        return tuple(item.strip() for item in value.split(",") if item.strip())
+        # one CSV row, so a double-quoted item may hold a comma
+        items = next(csv.reader([value], skipinitialspace=True), [])
+        return tuple(item.strip() for item in items if item.strip())
 
     kwargs: dict = {}
     try:
@@ -131,7 +134,7 @@ def parse_config(path) -> ExperimentConfig:
                           ("test_fraction", float)):
             if key in raw:
                 kwargs[key] = conv(raw[key])
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     if "datasets" not in kwargs:

@@ -1,15 +1,27 @@
 """The distance/similarity kernels, the shared cores and the pair terms.
 
-28 measures have a kernel here. The other 26 are finished, in the
+24 measures have a kernel here. The other 30 are finished, in the
 registry, from the shared cores below: reductions such as the sum of
 absolute differences that several measures are simple functions of.
 
 Every kernel and core is a pure function of two float ndarrays whose
 last axis is the vector dimension, so the same code evaluates a single
 pair (n,), a training matrix against one query (m, n) vs (n,), or
-batches of pairs (b, n) vs (b, n). Reductions always run over the last
-axis. Callers are expected to pass float64 arrays; the registry front
-end does the conversion and the domain checks.
+batches of pairs (b, n) vs (b, n). Callers are expected to pass float64
+arrays; the registry front end does the conversion and the domain
+checks.
+
+Kernels read their arguments through a PairTerms, which also holds them
+feature-major: the vector dimension moved to the front, so an
+elementwise term of a (b, 1, n) block against (m, n) rows is one
+contiguous (n, b, m) array. Every sum over the features runs along that
+leading axis as whole-slab adds in numpy's own pairwise order
+(``_fsum``), so it gives the bits ``np.sum(..., axis=-1)`` gives on the
+natural layout without numpy's per-element cost on a short axis; maxima
+and counts, whose results do not depend on order, reduce the leading
+axis directly. An import-time probe checks the replayed order against
+the installed numpy and falls back to ``np.sum`` on a transposed copy if
+they disagree.
 
 Kernels that read elementwise terms such as x - y or min(x, y) are
 written over a PairTerms and wrapped by ``over_terms``, so they are
@@ -115,19 +127,111 @@ def _frozen(value):
     return value
 
 
+def _pairwise_sum(slabs):
+    """numpy's pairwise summation of ``slabs[0], slabs[1], ...``, into a new array.
+
+    Below 8 terms the terms are added in sequence; up to 128, eight
+    running sums each take every eighth term and are combined as a tree,
+    then the remaining terms are added; above 128 the terms are split
+    at a multiple of 8 near the middle and each half summed so. Every add
+    is of whole slabs.
+    """
+    n = len(slabs)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        res = _pairwise_sum(slabs[:half])
+        return np.add(res, _pairwise_sum(slabs[half:]), out=res)
+    if n < 8:
+        res = slabs[0] + slabs[1] if n > 1 else slabs[0].copy()
+        rest = 2
+    else:
+        rest = n - n % 8
+        r = slabs[0:8] + slabs[8:16] if rest > 8 else slabs[0:8]
+        for i in range(16, rest, 8):
+            np.add(r, slabs[i:i + 8], out=r)
+        r = r[0::2] + r[1::2]           # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[0::2] + r[1::2]           # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+        res = r[0] + r[1]
+    for i in range(rest, n):
+        np.add(res, slabs[i], out=res)
+    return res
+
+
+def _replayed_sum(a):
+    """Sum over axis 0 with the bits of ``np.sum`` over the last axis of the transpose.
+
+    ``np.sum`` adds the pairwise sum to its +0.0 identity, so a sum of
+    only -0.0 terms is +0.0; the final ``+ 0.0`` does the same. A 1-d
+    ``a`` (a single pair) already has its features last, so ``np.sum``
+    itself sums it.
+    """
+    if a.ndim == 1:
+        return np.sum(a)
+    if len(a) == 0:
+        return np.zeros(a.shape[1:])
+    res = _pairwise_sum(a)
+    return np.add(res, 0.0, out=res)
+
+
+def _numpy_sum(a):
+    """Sum over axis 0 by ``np.sum`` itself: exact on any numpy, but slower."""
+    return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
+
+
+def _replay_is_exact() -> bool:
+    """Whether ``_replayed_sum`` gives numpy's bits on a fixed probe.
+
+    The probe's columns are order-sensitive values spanning 40 decades,
+    only -0.0, mixed signed zeros, and subnormals among signed zeros;
+    each of its first 0 to 130 rows is summed (129 and 130 are the
+    first lengths that split in halves).
+    """
+    k = np.arange(130.0)
+    order_sensitive = np.sin(2.3 * k) * 10.0 ** (7 * k % 41 - 20)
+    signed_zeros = np.where(k % 3 == 0, -0.0, 0.0)
+    subnormals = np.where(k % 5 < 2, signed_zeros, 5e-324)
+    natural = np.stack((order_sensitive, np.full(130, -0.0), signed_zeros, subnormals))
+    probe = np.ascontiguousarray(natural.T)
+    got = np.array([_replayed_sum(probe[:n]) for n in range(131)])
+    want = np.array([np.sum(natural[:, :n], axis=-1) for n in range(131)])
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# The sum over the leading (feature) axis that every kernel uses.
+_fsum = _replayed_sum if _replay_is_exact() else _numpy_sum
+
+
+def _feature_major(a, ndim: int) -> np.ndarray:
+    """``a`` with its last axis moved to the front, as a C-contiguous copy of ``ndim`` axes."""
+    a = np.asarray(a)
+    a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+    return np.ascontiguousarray(a.transpose(ndim - 1, *range(ndim - 1)))
+
+
 class PairTerms:
     """Elementwise terms of x against y, each computed on first use and kept.
 
     ``x`` and ``y`` broadcast against each other, as a kernel's arguments
-    do. Reading ``t.diff`` and the other names in TERMS computes that
-    term once; ``core()`` computes a core once per guard policy. Terms
-    and cores are read-only, so a kernel that writes into one fails
-    loudly instead of changing what the next metric reads.
+    do. ``xf`` and ``yf`` are their C-contiguous feature-major copies:
+    the last axis moved to the front after both are given the same
+    number of axes, so a (b, 1, n) block and (m, n) rows become (n, b, 1)
+    and (n, 1, m). A caller that holds those copies already may pass
+    them. Reading ``t.diff`` and the other names in TERMS computes that
+    term once from the copies, as one contiguous feature-major array
+    such as (n, b, m); ``core()`` computes a core once per guard policy.
+    Inputs, copies, terms and cores are read-only, so a kernel that
+    writes into one fails loudly instead of changing what the next
+    metric reads.
     """
 
-    def __init__(self, x, y):
+    def __init__(self, x, y, xf=None, yf=None):
         self.x = x
         self.y = y
+        if xf is None or yf is None:
+            ndim = max(np.ndim(x), np.ndim(y))
+            xf, yf = _feature_major(x, ndim), _feature_major(y, ndim)
+        self.xf = _frozen(xf)
+        self.yf = _frozen(yf)
         self._cores: dict = {}
 
     def __getattr__(self, name):   # reached only for a term not yet computed
@@ -148,16 +252,17 @@ class PairTerms:
         return value
 
 
-# The shared pair terms, by attribute name: each is a function of the PairTerms.
+# The shared pair terms, by attribute name: each is a function of the
+# PairTerms, computed from its feature-major copies.
 TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
-    "diff": lambda t: t.x - t.y,
-    "sum": lambda t: t.x + t.y,
-    "min": lambda t: np.minimum(t.x, t.y),
-    "max": lambda t: np.maximum(t.x, t.y),
-    "prod": lambda t: t.x * t.y,
+    "diff": lambda t: t.xf - t.yf,
+    "sum": lambda t: t.xf + t.yf,
+    "min": lambda t: np.minimum(t.xf, t.yf),
+    "max": lambda t: np.maximum(t.xf, t.yf),
+    "prod": lambda t: t.xf * t.yf,
     "abs_diff": lambda t: np.abs(t.diff),
     "sq_diff": lambda t: np.square(t.diff),
-    "sq_sum": lambda t: np.square(t.x) + np.square(t.y),
+    "sq_sum": lambda t: np.square(t.xf) + np.square(t.yf),
 }
 
 
@@ -182,55 +287,74 @@ def on_terms(func, t: PairTerms, guard: GuardPolicy):
     return body(t, guard) if body is not None else func(t.x, t.y, guard)
 
 
-# Shared cores: reductions ``(x, y, guard) -> values`` over the last axis.
-# The registry finishes 26 measures from them, so factor-related measures
+# Shared cores: reductions ``(x, y, guard) -> values`` over the features.
+# The registry finishes 30 measures from them, so factor-related measures
 # agree to the last ulp.
 
 @over_terms
 def abs_diff_sum(t, guard):
     """Sum of absolute component differences."""
-    return np.sum(t.abs_diff, axis=-1)
+    return _fsum(t.abs_diff)
 
 
 @over_terms
 def abs_diff_max(t, guard):
     """Largest absolute component difference."""
-    return np.max(t.abs_diff, axis=-1)
+    return np.maximum.reduce(t.abs_diff, axis=0)   # a maximum does not depend on order
 
 
 @over_terms
 def sq_diff_sum(t, guard):
     """Sum of squared component differences."""
-    return np.sum(t.sq_diff, axis=-1)
+    return _fsum(t.sq_diff)
+
+
+@over_terms
+def value_sum(t, guard):
+    """Sum of the component sums x + y."""
+    return _fsum(t.sum)
+
+
+@over_terms
+def max_sum(t, guard):
+    """Sum of the component maxima."""
+    return _fsum(t.max)
+
+
+@over_terms
+def min_sum(t, guard):
+    """Sum of the component minima."""
+    return _fsum(t.min)
 
 
 @over_terms
 def nonzero_count(t, guard):
     """Count of positions where x or y is non-zero, as a float."""
-    return np.sum(t.sq_sum != 0.0, axis=-1).astype(np.float64)
+    return np.sum(t.sq_sum != 0.0, axis=0).astype(np.float64)
 
 
 @over_terms
 def inner_product(t, guard):
     """Sum of component products."""
-    return np.sum(t.prod, axis=-1)
+    return _fsum(t.prod)
 
 
-def squared_chord_sum(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def squared_chord_sum(t, guard):
     """Sum of squared differences of component square roots."""
-    return np.sum(np.square(np.sqrt(x) - np.sqrt(y)), axis=-1)
+    return _fsum(np.square(np.sqrt(t.xf) - np.sqrt(t.yf)))
 
 
 @over_terms
 def squared_chi2_sum(t, guard):
     """Sum of squared differences over component sums."""
-    return np.sum(_div(t.sq_diff, t.sum, guard), axis=-1)
+    return _fsum(_div(t.sq_diff, t.sum, guard))
 
 
 @over_terms
 def neyman_sum(t, guard):
     """Directed chi-squared sum with x as the reference: sum((x - y)^2 / x)."""
-    return np.sum(_div(t.sq_diff, t.x, guard), axis=-1)
+    return _fsum(_div(t.sq_diff, t.xf, guard))
 
 
 @over_terms
@@ -240,23 +364,29 @@ def pearson_sum(t, guard):
     (y - x)^2 is (x - y)^2 bit for bit: the two differences are exact
     negations, zeros included up to sign, and squaring drops the sign.
     """
-    return np.sum(_div(t.sq_diff, t.y, guard), axis=-1)
+    return _fsum(_div(t.sq_diff, t.yf, guard))
 
 
 @over_terms
 def topsoe_sum(t, guard):
     """Topsoe information statistic, twice the Jensen-Shannon divergence."""
-    x, y, s = t.x, t.y, t.sum
-    return np.sum(_xlog(x, _div(2.0 * x, s, guard), guard)
-                  + _xlog(y, _div(2.0 * y, s, guard), guard), axis=-1)
+    x, y, s = t.xf, t.yf, t.sum
+    return _fsum(_xlog(x, _div(2.0 * x, s, guard), guard)
+                 + _xlog(y, _div(2.0 * y, s, guard), guard))
 
 
-def pearson_r(x, y, guard=DEFAULT_GUARD):
-    """Pearson correlation over the last axis; zero variance maps to r = 0."""
-    xc = x - np.mean(x, axis=-1, keepdims=True)
-    yc = y - np.mean(y, axis=-1, keepdims=True)
-    num = np.sum(xc * yc, axis=-1)
-    den = np.sqrt(np.sum(np.square(xc), axis=-1) * np.sum(np.square(yc), axis=-1))
+@over_terms
+def pearson_r(t, guard):
+    """Pearson correlation over the features; zero variance maps to r = 0.
+
+    Each mean is the sum over the count, which is how ``np.mean`` divides.
+    """
+    x, y = t.xf, t.yf
+    count = max(len(x), 1)      # no features: nothing is centred, and r = 0
+    xc = x - _fsum(x) / count
+    yc = y - _fsum(y) / count
+    num = _fsum(xc * yc)
+    den = np.sqrt(_fsum(np.square(xc)) * _fsum(np.square(yc)))
     r = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
     return np.clip(r, -1.0, 1.0)
 
@@ -266,45 +396,29 @@ def pearson_r(x, y, guard=DEFAULT_GUARD):
 @over_terms
 def lorentzian(t, guard):
     """Sum of ln(1 + |x - y|); the +1 keeps each term non-negative."""
-    return np.sum(np.log1p(t.abs_diff), axis=-1)
+    return _fsum(np.log1p(t.abs_diff))
 
 
 @over_terms
 def canberra(t, guard):
     """Manhattan weighted per dimension by |x| + |y|."""
-    return np.sum(_div(t.abs_diff, np.abs(t.x) + np.abs(t.y), guard), axis=-1)
-
-
-@over_terms
-def sorensen(t, guard):
-    """Bray-Curtis: summed absolute differences over summed values."""
-    return _div(t.core(abs_diff_sum, guard), np.sum(t.sum, axis=-1), guard)
-
-
-@over_terms
-def soergel(t, guard):
-    """Summed absolute differences over summed component maxima."""
-    return _div(t.core(abs_diff_sum, guard), np.sum(t.max, axis=-1), guard)
-
-
-@over_terms
-def kulczynski(t, guard):
-    """Summed absolute differences over summed component minima."""
-    return _div(t.core(abs_diff_sum, guard), np.sum(t.min, axis=-1), guard)
+    return _fsum(_div(t.abs_diff, np.abs(t.xf) + np.abs(t.yf), guard))
 
 
 # Inner product family
 
-def chord(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def chord(t, guard):
     """Chord length between the vectors projected on the unit sphere.
 
     Computed as the plain Euclidean distance between the normalized
     vectors, which equals sqrt(2 - 2 cos) without the cancellation that
     form suffers near identical vectors.
     """
-    xn = _div(x, np.sqrt(np.sum(np.square(x), axis=-1, keepdims=True)), guard)
-    yn = _div(y, np.sqrt(np.sum(np.square(y), axis=-1, keepdims=True)), guard)
-    return np.sqrt(np.sum(np.square(xn - yn), axis=-1))
+    x, y = t.xf, t.yf
+    xn = _div(x, np.sqrt(_fsum(np.square(x))), guard)
+    yn = _div(y, np.sqrt(_fsum(np.square(y))), guard)
+    return np.sqrt(_fsum(np.square(xn - yn)))
 
 
 # Squared chord family (non-negative inputs only)
@@ -312,7 +426,7 @@ def chord(x, y, guard=DEFAULT_GUARD):
 @over_terms
 def bhattacharyya(t, guard):
     """Negative log of the sum of geometric means; may be negative."""
-    s = np.sum(np.sqrt(t.prod), axis=-1)
+    s = _fsum(np.sqrt(t.prod))
     return -_xlog(np.ones_like(s), s, guard)
 
 
@@ -321,32 +435,33 @@ def bhattacharyya(t, guard):
 @over_terms
 def clark(t, guard):
     """Root of summed squared relative differences |x-y|/(x+y)."""
-    return np.sqrt(np.sum(np.square(_div(t.abs_diff, t.sum, guard)), axis=-1))
+    return np.sqrt(_fsum(np.square(_div(t.abs_diff, t.sum, guard))))
 
 
 @over_terms
 def divergence(t, guard):
     """Twice the summed squared differences over squared component sums."""
-    return 2.0 * np.sum(_div(t.sq_diff, np.square(t.sum), guard), axis=-1)
+    return 2.0 * _fsum(_div(t.sq_diff, np.square(t.sum), guard))
 
 
 @over_terms
 def additive_symmetric_chi2(t, guard):
     """Symmetrized chi-squared: 2 * sum((x-y)^2 (x+y) / (x y))."""
-    return 2.0 * np.sum(_div(t.sq_diff * t.sum, t.prod, guard), axis=-1)
+    return 2.0 * _fsum(_div(t.sq_diff * t.sum, t.prod, guard))
 
 
 @over_terms
 def squared_chi_squared(t, guard):
     """Squared differences over the absolute component sums."""
-    return np.sum(_div(t.sq_diff, np.abs(t.sum), guard), axis=-1)
+    return _fsum(_div(t.sq_diff, np.abs(t.sum), guard))
 
 
 # Shannon entropy family (non-negative inputs only)
 
-def kullback_leibler(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def kullback_leibler(t, guard):
     """Relative entropy of x with respect to y; not symmetric."""
-    return np.sum(_xlog(x, _div(x, y, guard), guard), axis=-1)
+    return _fsum(_xlog(t.xf, _div(t.xf, t.yf, guard), guard))
 
 
 @over_terms
@@ -356,7 +471,7 @@ def jeffreys(t, guard):
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
-    x, y = t.x, t.y
+    x, y = t.xf, t.yf
     bad_x = x <= 0.0
     bad_y = y <= 0.0
     term = t.diff * (np.log(np.where(bad_x, guard.epsilon, x))
@@ -364,21 +479,21 @@ def jeffreys(t, guard):
     if guard.log_nonpositive == TERM_IS_ZERO:
         np.copyto(term, 0.0, where=bad_x | bad_y)
     np.copyto(term, 0.0, where=t.diff == 0.0)
-    return np.sum(term, axis=-1)
+    return _fsum(term)
 
 
 @over_terms
 def k_divergence(t, guard):
     """Divergence of x from the midpoint distribution."""
-    return np.sum(_xlog(t.x, _div(2.0 * t.x, t.sum, guard), guard), axis=-1)
+    return _fsum(_xlog(t.xf, _div(2.0 * t.xf, t.sum, guard), guard))
 
 
 @over_terms
 def jensen_difference(t, guard):
     """Half the summed Jensen differences of the entropy function."""
     m = 0.5 * t.sum
-    terms = 0.5 * (_xlogx(t.x, guard) + _xlogx(t.y, guard)) - _xlogx(m, guard)
-    return 0.5 * np.sum(terms, axis=-1)
+    terms = 0.5 * (_xlogx(t.xf, guard) + _xlogx(t.yf, guard)) - _xlogx(m, guard)
+    return 0.5 * _fsum(terms)
 
 
 # Vicissitude family
@@ -386,25 +501,25 @@ def jensen_difference(t, guard):
 @over_terms
 def vicis_wave_hedges(t, guard):
     """Absolute differences over the component minima."""
-    return np.sum(_div(t.abs_diff, t.min, guard), axis=-1)
+    return _fsum(_div(t.abs_diff, t.min, guard))
 
 
 @over_terms
 def vicis_symmetric1(t, guard):
     """Squared differences over the squared component minima."""
-    return np.sum(_div(t.sq_diff, np.square(t.min), guard), axis=-1)
+    return _fsum(_div(t.sq_diff, np.square(t.min), guard))
 
 
 @over_terms
 def vicis_symmetric2(t, guard):
     """Squared differences over the component minima."""
-    return np.sum(_div(t.sq_diff, t.min, guard), axis=-1)
+    return _fsum(_div(t.sq_diff, t.min, guard))
 
 
 @over_terms
 def vicis_symmetric3(t, guard):
     """Squared differences over the component maxima."""
-    return np.sum(_div(t.sq_diff, t.max, guard), axis=-1)
+    return _fsum(_div(t.sq_diff, t.max, guard))
 
 
 # Other measures
@@ -414,7 +529,7 @@ def kumar_johnson(t, guard):
     """Sum of (x^2 + y^2)^2 / (2 (x y)^1.5)."""
     num = np.square(t.sq_sum)
     den = 2.0 * np.power(t.prod, 1.5)
-    return np.sum(_div(num, den, guard), axis=-1)
+    return _fsum(_div(num, den, guard))
 
 
 @over_terms
@@ -422,12 +537,13 @@ def taneja(t, guard):
     """Arithmetic-geometric mean divergence."""
     m = 0.5 * t.sum
     arg = _div(t.sum, 2.0 * np.sqrt(t.prod), guard)
-    return np.sum(_xlog(m, arg, guard), axis=-1)
+    return _fsum(_xlog(m, arg, guard))
 
 
-def hamming(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def hamming(t, guard):
     """Count of positions where the components differ exactly."""
-    return np.sum(x != y, axis=-1).astype(np.float64)
+    return np.sum(t.xf != t.yf, axis=0).astype(np.float64)
 
 
 def hausdorff(x, y, guard=DEFAULT_GUARD):
@@ -442,27 +558,21 @@ def hausdorff(x, y, guard=DEFAULT_GUARD):
 def chi2_statistic(t, guard):
     """Sum of (x - m) / m with m the per-dimension midpoint; sign-indefinite."""
     m = 0.5 * t.sum
-    return np.sum(_div(t.x - m, m, guard), axis=-1)
+    return _fsum(_div(t.xf - m, m, guard))
 
 
-def whittaker(x, y, guard=DEFAULT_GUARD):
+@over_terms
+def whittaker(t, guard):
     """Half the L1 distance between the sum-normalized vectors."""
-    sx = np.sum(x, axis=-1, keepdims=True)
-    sy = np.sum(y, axis=-1, keepdims=True)
-    return 0.5 * np.sum(np.abs(_div(x, sx, guard) - _div(y, sy, guard)), axis=-1)
+    x, y = t.xf, t.yf
+    return 0.5 * _fsum(np.abs(_div(x, _fsum(x), guard) - _div(y, _fsum(y), guard)))
 
 
 @over_terms
 def meehl(t, guard):
     """Sum over consecutive positions of (d_i - d_{i+1})^2 with d = x - y."""
     d = t.diff
-    return np.sum(np.square(d[..., :-1] - d[..., 1:]), axis=-1)
-
-
-@over_terms
-def motyka(t, guard):
-    """Summed component maxima over summed values; 0.5 at identical vectors."""
-    return _div(np.sum(t.max, axis=-1), np.sum(t.sum, axis=-1), guard)
+    return _fsum(np.square(d[:-1] - d[1:]))
 
 
 @over_terms
@@ -486,4 +596,4 @@ def hassanat(t, guard):
             shift = -lo[shifted]
             num[shifted] = 1.0 + (lo[shifted] + shift)
             den[shifted] = 1.0 + (hi[shifted] + shift)
-        return np.sum(1.0 - num / den, axis=-1)
+        return _fsum(1.0 - num / den)

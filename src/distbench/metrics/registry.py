@@ -37,10 +37,10 @@ class Family(str, Enum):
 class CoreKernel:
     """A kernel written as a finisher applied to shared cores.
 
-    Each core is a reduction ``(x, y, guard) -> values`` over the last
-    axis; ``finish(values, terms, guard)`` turns the tuple of core values
-    into distances, reading ``terms.x`` and ``terms.y`` (a PairTerms) if
-    it needs the vectors. Calling the kernel computes the cores and
+    Each core is a reduction ``(x, y, guard) -> values`` over the
+    features; ``finish(values, terms, guard)`` turns the tuple of core
+    values into distances, reading the vectors from ``terms`` (a
+    PairTerms) if it needs them. Calling the kernel computes the cores and
     finishes them, so it is the one formula of the measure.
     ``over_terms`` finishes from the cores a PairTerms shares, which a
     Cell uses to compute each core once per query block.
@@ -92,6 +92,10 @@ def _root_per_nonzero(values, t, guard):
     return np.sqrt(_div(values[0], values[1], guard))
 
 
+def _ratio(values, t, guard):
+    return _div(values[0], values[1], guard)
+
+
 def _larger(values, t, guard):
     return np.maximum(values[0], values[1])
 
@@ -112,19 +116,24 @@ def _half_of_one_minus(values, t, guard):
     return (1.0 - values[0]) / 2.0
 
 
+def _squares(t):
+    """The sums of squares of x and of y, over the feature-major copies."""
+    return kernels._fsum(np.square(t.xf)), kernels._fsum(np.square(t.yf))
+
+
 def _cosine(values, t, guard):
-    norms = np.sqrt(np.sum(np.square(t.x), axis=-1)) * np.sqrt(np.sum(np.square(t.y), axis=-1))
-    return 1.0 - _div(values[0], norms, guard)
+    xx, yy = _squares(t)
+    return 1.0 - _div(values[0], np.sqrt(xx) * np.sqrt(yy), guard)
 
 
 def _dice(values, t, guard):
-    squares = np.sum(np.square(t.x), axis=-1) + np.sum(np.square(t.y), axis=-1)
-    return 1.0 - _div(2.0 * values[0], squares, guard)
+    xx, yy = _squares(t)
+    return 1.0 - _div(2.0 * values[0], xx + yy, guard)
 
 
 def _jaccard(values, t, guard):
-    squares = np.sum(np.square(t.x), axis=-1) + np.sum(np.square(t.y), axis=-1)
-    return _div(values[0], squares - values[1], guard)
+    xx, yy = _squares(t)
+    return _div(values[0], (xx + yy) - values[1], guard)
 
 
 def _squared_pearson(values, t, guard):
@@ -166,9 +175,9 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         # L1
         MetricDescriptor("LD", "Lorentzian", F.L1, k.lorentzian, full_metric=True),
         MetricDescriptor("CanD", "Canberra", F.L1, k.canberra),
-        MetricDescriptor("SD", "Sorensen", F.L1, k.sorensen),
-        MetricDescriptor("SoD", "Soergel", F.L1, k.soergel),
-        MetricDescriptor("KD", "Kulczynski", F.L1, k.kulczynski),
+        MetricDescriptor("SD", "Sorensen", F.L1, C((k.abs_diff_sum, k.value_sum), _ratio)),
+        MetricDescriptor("SoD", "Soergel", F.L1, C((k.abs_diff_sum, k.max_sum), _ratio)),
+        MetricDescriptor("KD", "Kulczynski", F.L1, C((k.abs_diff_sum, k.min_sum), _ratio)),
         MetricDescriptor("MCD", "Mean Character", F.L1, C((k.abs_diff_sum,), _per_dimension),
                          full_metric=True),
         MetricDescriptor("NID", "Non Intersection", F.L1, C((k.abs_diff_sum,), _half),
@@ -248,7 +257,8 @@ def _build_registry() -> dict[str, MetricDescriptor]:
                          symmetric=False, nonneg_output=False),
         MetricDescriptor("WIAD", "Whittaker's index of association", F.OTHER, k.whittaker),
         MetricDescriptor("MeeD", "Meehl", F.OTHER, k.meehl),
-        MetricDescriptor("MotD", "Motyka", F.OTHER, k.motyka, zero_self=False),
+        MetricDescriptor("MotD", "Motyka", F.OTHER, C((k.max_sum, k.value_sum), _ratio),
+                         zero_self=False),
         MetricDescriptor("HasD", "Hassanat", F.OTHER, k.hassanat, full_metric=True),
     ]
     registry = {row.abbrev: row for row in rows}
@@ -345,15 +355,18 @@ def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
     m, n = rows.shape
     inf = np.full((m, 1), np.inf)
     closed = np.hstack((-inf, np.sort(rows, axis=1), inf)).ravel()  # sorted rows between ±inf
-    row_base = (np.arange(m) * (n + 2))[:, None]
-    flat = rows.ravel()
-    owner = np.repeat(np.arange(m), n)
+    row_base = np.arange(m) * (n + 2)
+    flat = rows.T.ravel()                    # feature-major: every row's j-th value, j = 0, 1, ...
+    owner = np.tile(np.arange(m), n)
     # training values in one ascending run, so each block's search walks forward
     order = np.argsort(flat, kind="stable")
     run = flat[order]
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
 
+    # Both directed distances take their maxima over a feature axis laid
+    # out ahead of the training rows, so each step compares m gaps at once;
+    # a maximum of these finite, non-negative gaps does not depend on order.
     def block(start: int, stop: int) -> np.ndarray:
         q = queries[start:stop]
         b = len(q)
@@ -361,11 +374,11 @@ def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
         slot = slot.reshape(b, n)
         k = len(u)
         below = np.searchsorted(u, run)[place]        # how many u lie below each training value
-        # query -> row: the last value of each sorted row that is <= each u
-        counts = np.bincount(owner * (k + 1) + below, minlength=m * (k + 1))
-        last = row_base + np.cumsum(counts.reshape(m, k + 1), axis=1)[:, :k]
-        gaps = np.minimum(closed[last + 1] - u, u - closed[last])
-        to_rows = gaps[:, slot].max(axis=-1).T
+        # query -> row: the last value of each sorted row that is <= each u, as (k, m)
+        counts = np.bincount(below * m + owner, minlength=(k + 1) * m)
+        last = row_base + np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
+        gaps = np.minimum(closed[last + 1] - u[:, None], u[:, None] - closed[last])
+        to_rows = np.maximum.reduce(gaps[slot.T], axis=0)
         # row -> query: each query's nearest values below and at-or-above every training value
         mine = np.zeros((b, k), dtype=bool)
         mine[np.arange(b)[:, None], slot] = True
@@ -374,7 +387,7 @@ def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
         upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
                            edge))
         gaps = np.minimum(upper[:, below] - flat, flat - lower[:, below])
-        to_query = gaps.reshape(b, m, n).max(axis=-1)
+        to_query = np.maximum.reduce(gaps.reshape(b, n, m), axis=1)
         return np.maximum(to_rows, to_query)
 
     return block
@@ -387,9 +400,11 @@ class Cell:
     ``blocks()`` yields the queries in blocks sized from BLOCK_ELEMENTS.
     While a block is current, ``pairwise(metric, block, rows, guard, cell)``
     evaluates a metric on the block's PairTerms, so each pair term and each
-    core is computed once per block for every metric of the cell. Terms,
-    cores and the block's inputs are read-only views, and a block's terms
-    are dropped when the next block starts.
+    core is computed once per block for every metric of the cell. The
+    feature-major copies the terms are computed from are taken once: the
+    rows' for the cell, the block's for each block. Terms, cores and the
+    block's inputs are read-only views, and a block's terms are dropped
+    when the next block starts.
 
     The cell checks the domain once. HauD reads no pair term: at its
     first block the cell computes its whole (t, m) matrix as ``pairwise``
@@ -426,11 +441,13 @@ class Cell:
         """Yield each block of query rows; it is the current block until the next."""
         step = max(1, BLOCK_ELEMENTS // max(self.rows.size, 1))
         rows = _frozen(self.rows.view())
+        rows_f = np.ascontiguousarray(self.rows.T)[:, None, :]   # (n, 1, m)
         try:
             for start in range(0, len(self.queries), step):
                 self.block = self.queries[start:start + step]
                 self._span = (start, start + step)
-                self._terms = PairTerms(_frozen(self.block[:, None, :]), rows)
+                block_f = np.ascontiguousarray(self.block.T)[:, :, None]   # (n, b, 1)
+                self._terms = PairTerms(_frozen(self.block[:, None, :]), rows, block_f, rows_f)
                 yield self.block
         finally:
             self.block = self._terms = None

@@ -366,6 +366,17 @@ def test_config_parsing(tmp_path):
     assert cfg.master_seed == 7
 
 
+def test_config_lists_parse_as_csv_rows(tmp_path):
+    cfg_path = tmp_path / "bench.cfg"
+    cfg_path.write_text('datasets = "/d/a,b/iris.csv",  /d/wine.csv ,\n'
+                        'metrics = ED,, MD ,\n'
+                        'noise_levels = 0.1 ,0.3\n', encoding="utf-8")
+    cfg = parse_config(cfg_path)
+    assert cfg.datasets == ("/d/a,b/iris.csv", "/d/wine.csv")   # quoted: the comma stays
+    assert cfg.metrics == ("ED", "MD")                           # unquoted: as split on commas
+    assert cfg.noise_levels == (0.1, 0.3)
+
+
 def test_config_metrics_all(tmp_path):
     ds = make_blobs("cfg2", 20, 2, (0.5, 0.5), spread=0.5, seed=2)
     csv_path = write_dataset_csv(ds, tmp_path / "cfg2.csv")

@@ -123,6 +123,21 @@ def test_two_files_under_one_dataset_name_exit_nonzero(tmp_path, capsys):
     assert not (out / "records.csv").exists()
 
 
+def test_a_quoted_dataset_path_may_hold_a_comma(tmp_path):
+    (tmp_path / "a,b").mkdir()
+    quoted = write_dataset_csv(make_blobs("iris", 24, 3, (0.6, 0.4), spread=1.0, seed=3),
+                               tmp_path / "a,b" / "iris.csv")
+    plain = write_dataset_csv(make_blobs("wine", 24, 3, (0.6, 0.4), spread=1.0, seed=4),
+                              tmp_path / "wine.csv")
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f'datasets = "{quoted}", {plain}\nmetrics = ED, MD\nrepetitions = 2\n',
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["clean", "--config", str(cfg), "--out", str(out)]) == 0
+    records = read_records_csv(out / "records.csv")
+    assert sorted({r.dataset for r in records}) == ["iris", "wine"]
+
+
 def _phase_and_report(tmp_path, cfg, phase):
     """Run a phase, then `report --format markdown` on its records file;
     returns the records file and each side's table files by name."""
