@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -89,6 +90,9 @@ def _check_metrics(metrics: tuple[str, ...]) -> None:
         raise ConfigError(f"metric listed more than once: {', '.join(repeated)}")
 
 
+# a line up to its first "#" outside double quotes, so a quoted item may hold one
+_COMMENT_FREE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
+
 _CONFIG_KEYS = {"datasets", "metrics", "k", "test_fraction", "repetitions",
                 "noise_levels", "top_n", "master_seed", "workers"}
 
@@ -103,7 +107,7 @@ def parse_config(path) -> ExperimentConfig:
 
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT_FREE.match(line).group().strip()
         if not line:
             continue
         if "=" not in line:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -296,18 +297,6 @@ def _domain_error(desc: MetricDescriptor) -> DomainViolationError:
     return DomainViolationError(f"{desc.abbrev} requires non-negative inputs")
 
 
-def _check_domain(desc: MetricDescriptor, *arrays: np.ndarray) -> None:
-    if desc.requires_nonneg_inputs:
-        for arr in arrays:
-            if np.any(arr < 0.0):
-                raise _domain_error(desc)
-
-
-def _check_finite(desc: MetricDescriptor, out: np.ndarray) -> None:
-    if not np.isfinite(out).all():
-        raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
-
-
 def evaluate(metric: str | MetricDescriptor, x, y,
              guard: GuardPolicy | None = None) -> float:
     """Dissimilarity between two equal-dimension vectors.
@@ -320,7 +309,8 @@ def evaluate(metric: str | MetricDescriptor, x, y,
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionMismatchError(
             f"expected two equal-length 1-d vectors, got {x.shape} and {y.shape}")
-    _check_domain(desc, x, y)
+    if desc.requires_nonneg_inputs and ((x < 0.0).any() or (y < 0.0).any()):
+        raise _domain_error(desc)
     return float(desc.func(x, y, guard if guard is not None else desc.guard))
 
 
@@ -394,28 +384,28 @@ def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
 
 
 class Cell:
-    """One query matrix scored against one training matrix by several metrics.
+    """One query matrix scored against one training matrix by one or more metrics.
 
-    A cell of the benchmark scores every configured metric on one split.
-    ``blocks()`` yields the queries in blocks sized from BLOCK_ELEMENTS.
-    While a block is current, ``pairwise(metric, block, rows, guard, cell)``
-    evaluates a metric on the block's PairTerms, so each pair term and each
-    core is computed once per block for every metric of the cell. The
-    feature-major copies the terms are computed from are taken once: the
-    rows' for the cell, the block's for each block. Terms, cores and the
-    block's inputs are read-only views, and a block's terms are dropped
-    when the next block starts.
+    The cell is the one distance engine: a cell of the benchmark scores
+    every configured metric on one split, and ``pairwise`` without a cell
+    scores through a one-metric cell. Queries that are not (t, n)
+    against (m, n) rows raise DimensionMismatchError. ``blocks()`` yields
+    the queries in blocks sized from BLOCK_ELEMENTS (no queries make one
+    empty block, which still meets every check). While a block is
+    current, ``pairwise(metric, block, rows, guard, cell)`` finishes a
+    metric from the block's PairTerms, so each pair term and core is
+    computed once per block for every metric of the cell, from
+    feature-major copies taken once for the rows and once per block.
+    Terms, cores and the block's inputs are read-only views, dropped when
+    the next block starts.
 
-    The cell checks the domain once. HauD reads no pair term: at its
-    first block the cell computes its whole (t, m) matrix as ``pairwise``
-    does, sorting the rows once and keeping them in cache across blocks,
-    and each block takes its rows of that matrix. The cell also makes
-    every skip decision: ``skips`` maps a metric to its reason, set here
-    for a metric whose domain excludes the features and by ``pairwise``
-    for one whose distances in any block are not finite. ``live()``
-    lists the metrics not skipped, in the order given.
-
-    Every distance is bitwise equal to ``pairwise`` without a cell.
+    The cell decides the domain, reading the signs of its inputs only if a
+    metric requires non-negative inputs. HauD reads no pair term: at its
+    first block the cell computes and keeps its whole (t, m) matrix, and
+    each block takes its rows of it. ``skips`` maps a metric to its reason:
+    a domain that excludes the inputs, or non-finite distances in any
+    block. ``live()`` lists the metrics not skipped, in the order given.
+    Every distance is bitwise equal to the kernel called on one query.
     ``pairwise`` refuses a cell for any arrays other than its current
     block and its training rows.
     """
@@ -423,15 +413,23 @@ class Cell:
     def __init__(self, queries, rows, metrics):
         self.queries = np.asarray(queries, dtype=np.float64)
         self.rows = np.asarray(rows, dtype=np.float64)
+        if (self.queries.ndim != 2 or self.rows.ndim != 2
+                or self.queries.shape[1] != self.rows.shape[1]):
+            raise DimensionMismatchError(f"expected (t, n) queries against (m, n) rows, "
+                                         f"got {self.queries.shape} and {self.rows.shape}")
         self.metrics = tuple(_resolve(metric) for metric in metrics)
-        self._negative = bool((self.queries < 0.0).any() or (self.rows < 0.0).any())
         self.skips: dict[str, str] = {desc.abbrev: "negative features outside metric domain"
                                       for desc in self.metrics
                                       if desc.requires_nonneg_inputs and self._negative}
+        step = max(1, BLOCK_ELEMENTS // max(self.rows.size, 1))
+        self._slices = [slice(start, start + step)
+                        for start in range(0, max(len(self.queries), 1), step)]
         self.block: np.ndarray | None = None
-        self._span = (0, 0)
-        self._terms: PairTerms | None = None
-        self._hausdorff = None
+        self._at = self._terms = self._hausdorff = None
+
+    @cached_property
+    def _negative(self) -> bool:
+        return bool((self.queries < 0.0).any() or (self.rows < 0.0).any())
 
     def live(self) -> list[MetricDescriptor]:
         """The metrics without a skip reason, in the order given."""
@@ -439,13 +437,11 @@ class Cell:
 
     def blocks(self):
         """Yield each block of query rows; it is the current block until the next."""
-        step = max(1, BLOCK_ELEMENTS // max(self.rows.size, 1))
         rows = _frozen(self.rows.view())
         rows_f = np.ascontiguousarray(self.rows.T)[:, None, :]   # (n, 1, m)
         try:
-            for start in range(0, len(self.queries), step):
-                self.block = self.queries[start:start + step]
-                self._span = (start, start + step)
+            for at in self._slices:
+                self._at, self.block = at, self.queries[at]
                 block_f = np.ascontiguousarray(self.block.T)[:, :, None]   # (n, b, 1)
                 self._terms = PairTerms(_frozen(self.block[:, None, :]), rows, block_f, rows_f)
                 yield self.block
@@ -460,13 +456,18 @@ class Cell:
             if desc.requires_nonneg_inputs and self._negative:
                 raise _domain_error(desc)
             if desc.func is kernels.hausdorff:
-                if self._hausdorff is None:
-                    self._hausdorff = pairwise(desc, self.queries, self.rows)
-                out = self._hausdorff[self._span[0]:self._span[1]]
+                if self._hausdorff is None:   # kept only once every block of it is computed
+                    block = _hausdorff_blocks(self.queries, self.rows)
+                    out = np.empty((len(self.queries), len(self.rows)), dtype=np.float64)
+                    for at in self._slices:
+                        out[at] = block(at.start, at.stop)
+                    self._hausdorff = out
+                out = self._hausdorff[self._at]
             else:
                 out = on_terms(desc.func, self._terms,
                                guard if guard is not None else desc.guard)
-            _check_finite(desc, out)
+            if not np.isfinite(out).all():
+                raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
         except DomainViolationError as exc:
             self.skips.setdefault(desc.abbrev, str(exc))
             raise
@@ -481,32 +482,24 @@ def pairwise(metric: str | MetricDescriptor, x, rows,
     ``x`` is one query of shape (n,), giving (m,) distances, or a query
     matrix of shape (t, n), giving (t, m). The query is passed as the
     kernel's first argument, which matters for the non-symmetric measures
-    (KLD, KDD, NCSD, PCSD, CSSD). Queries are evaluated in blocks sized
-    from ``BLOCK_ELEMENTS``; every distance is bitwise equal to evaluating
-    that query alone. A non-finite distance raises DomainViolationError.
-    With ``cell``, ``x`` is the cell's current block and ``rows`` its
-    training rows, and the distances are finished from the terms the
-    block shares with the cell's other metrics; they are the same bits.
+    (KLD, KDD, NCSD, PCSD, CSSD). Without ``cell`` the queries are scored
+    block by block through a one-metric Cell. With ``cell``, ``x`` is the
+    cell's current block and ``rows`` its training rows, and the metric is
+    finished from the terms the block shares with the cell's other
+    metrics. Either way every distance is bitwise equal to the kernel
+    called on that query alone; a domain that excludes the inputs, or a
+    non-finite distance, raises DomainViolationError.
     """
     desc = _resolve(metric)
     if cell is not None:
         return cell._distances(desc, x, rows, guard)
     x = np.asarray(x, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.float64)
-    if x.ndim not in (1, 2) or rows.ndim != 2 or rows.shape[1] != x.shape[-1]:
-        raise DimensionMismatchError(
-            f"expected (n,) or (t, n) against (m, n), got {x.shape} and {rows.shape}")
-    _check_domain(desc, x, rows)
-    guard = guard if guard is not None else desc.guard
-    queries = x if x.ndim == 2 else x[None]
-    if desc.func is kernels.hausdorff:
-        block = _hausdorff_blocks(queries, rows)
-    else:
-        def block(start: int, stop: int) -> np.ndarray:
-            return desc.func(queries[start:stop, None, :], rows, guard)
-    out = np.empty((len(queries), len(rows)), dtype=np.float64)
-    step = max(1, BLOCK_ELEMENTS // max(rows.size, 1))
-    for start in range(0, len(queries), step):
-        out[start:start + step] = block(start, start + step)
-    _check_finite(desc, out)
+    try:
+        cell = Cell(x[None] if x.ndim == 1 else x, rows, (desc,))
+    except DimensionMismatchError:
+        raise DimensionMismatchError(f"expected (n,) or (t, n) against (m, n), "
+                                     f"got {x.shape} and {np.shape(rows)}") from None
+    out = np.empty((len(cell.queries), len(cell.rows)), dtype=np.float64)
+    for block in cell.blocks():
+        out[cell._at] = cell._distances(desc, block, cell.rows, guard)
     return out if x.ndim == 2 else out[0]

@@ -377,6 +377,15 @@ def test_config_lists_parse_as_csv_rows(tmp_path):
     assert cfg.noise_levels == (0.1, 0.3)
 
 
+def test_config_comment_starts_only_outside_quotes(tmp_path):
+    cfg_path = tmp_path / "bench.cfg"
+    cfg_path.write_text('datasets = "/d/a#b/iris.csv", /d/wine.csv  # two sets\n'
+                        'metrics = ED, MD#, CD\n', encoding="utf-8")
+    cfg = parse_config(cfg_path)
+    assert cfg.datasets == ("/d/a#b/iris.csv", "/d/wine.csv")   # quoted: the "#" stays
+    assert cfg.metrics == ("ED", "MD")                           # unquoted: a comment
+
+
 def test_config_metrics_all(tmp_path):
     ds = make_blobs("cfg2", 20, 2, (0.5, 0.5), spread=0.5, seed=2)
     csv_path = write_dataset_csv(ds, tmp_path / "cfg2.csv")

@@ -8,7 +8,8 @@ import pytest
 from distbench import (Cell, ExperimentConfig, KnnModel, SplitPlan, classify, classify_batch,
                        describe, list_metrics, pairwise, split)
 from distbench.bench import _run_block, _split_seed
-from distbench.errors import DomainViolationError
+from distbench.errors import DimensionMismatchError, DomainViolationError
+from distbench.knn import _vote
 from distbench.metrics import CoreKernel, GuardPolicy, kernels, registry
 from distbench.metrics.kernels import TERM_IS_ZERO
 
@@ -29,8 +30,10 @@ def _tied_values(rng, shape, negative):
     return values - 1.0 if negative else values
 
 
-def _reference(desc, queries, rows):
-    return np.stack([desc.func(q, rows, desc.guard) for q in queries])
+def _reference(desc, queries, rows, guard=None):
+    """The per-query kernel loop: the metric's kernel on one query at a time."""
+    guard = guard if guard is not None else desc.guard
+    return np.stack([desc.func(q, rows, guard) for q in queries])
 
 
 @pytest.mark.parametrize("abbrev", list_metrics())
@@ -181,7 +184,8 @@ CELLS = {
 @pytest.mark.parametrize("metrics", CELLS.values(), ids=CELLS.keys())
 def test_core_store_changes_no_distance(metrics, monkeypatch):
     # the cell stores each block's pair terms and cores for all its metrics;
-    # through it every distance and prediction is the library path's, bit for bit
+    # through it every distance is the per-query kernel's, bit for bit, every
+    # prediction the vote over those distances, and every error the library path's
     rng = np.random.default_rng(len(metrics))
     zeroing = GuardPolicy(zero_denominator=TERM_IS_ZERO, log_nonpositive=TERM_IS_ZERO)
     for n in (13, 0):                          # zero features as well
@@ -193,8 +197,11 @@ def test_core_store_changes_no_distance(metrics, monkeypatch):
         # blocks of 4 queries, the last one short; one block without features
         monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * max(rows.size, 1))
         for guard in (None, zeroing):
-            want = {abbrev: _outcome(lambda: pairwise(abbrev, queries, rows, guard))
-                    for abbrev in metrics}
+            want = {}
+            for abbrev in metrics:   # the library path's error, or the per-query kernels' bits
+                library = _outcome(lambda: pairwise(abbrev, queries, rows, guard))
+                want[abbrev] = library if isinstance(library, tuple) else _bits(
+                    _reference(describe(abbrev), queries, rows, guard))
             cell = Cell(queries, rows, metrics)
             start = 0
             for block in cell.blocks():
@@ -207,8 +214,8 @@ def test_core_store_changes_no_distance(metrics, monkeypatch):
                     if isinstance(expected, tuple):
                         continue
                     model = KnnModel(rows, labels, describe(abbrev), k=3, guard=guard)
-                    assert np.array_equal(classify_batch(model, block, cell),
-                                          classify_batch(model, queries[at])), (abbrev, n)
+                    votes = [_vote(model, row) for row in expected.view(np.float64)]
+                    assert classify_batch(model, block, cell).tolist() == votes, (abbrev, n)
             assert start == len(queries) and cell.block is None
 
 
@@ -218,12 +225,13 @@ def test_core_store_keeps_cores_of_one_guard_policy():
     queries = np.array([[0.0, 2.0], [1.0, 0.0]])
     zeroing = GuardPolicy(zero_denominator=TERM_IS_ZERO)
     cell = Cell(queries, rows, ("NCSD", "MSCD"))
+    ncsd, mscd = describe("NCSD"), describe("MSCD")
     for block in cell.blocks():
-        zeroed = pairwise("NCSD", block, rows, zeroing, cell)
-        assert np.array_equal(_bits(zeroed), _bits(pairwise("NCSD", queries, rows, zeroing)))
-        got = pairwise("MSCD", block, rows, None, cell)
-        assert np.array_equal(_bits(got), _bits(pairwise("MSCD", queries, rows)))
-        assert not np.array_equal(zeroed, pairwise("NCSD", queries, rows))
+        zeroed = pairwise(ncsd, block, rows, zeroing, cell)
+        assert np.array_equal(_bits(zeroed), _bits(_reference(ncsd, queries, rows, zeroing)))
+        got = pairwise(mscd, block, rows, None, cell)
+        assert np.array_equal(_bits(got), _bits(_reference(mscd, queries, rows)))
+        assert not np.array_equal(zeroed, _reference(ncsd, queries, rows))
 
 
 def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
@@ -243,7 +251,7 @@ def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
                                                                 describe(a).func.finish))
                for a in ("MD", "MCD"))
     cell = Cell(queries, rows, (md, mcd))
-    want = pairwise("MCD", queries, rows)
+    want = _reference(describe("MCD"), queries, rows)
     blocks = cell.blocks()
     block = next(blocks)
     pairwise(md, block, rows, None, cell)
@@ -270,6 +278,21 @@ def test_core_store_refuses_other_arrays():
             classify_batch(KnnModel(rows.copy(), np.zeros(9), describe("MD")), block, cell)
         model = KnnModel(rows, np.zeros(9), describe("MD"))
         assert classify_batch(model, block, cell).tolist() == [0] * 5
+
+
+SHAPES = {"1-d queries": (3,), "fewer features": (2, 2), "more features": (2, 4),
+          "3-d queries": (2, 1, 3)}
+
+
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_cell_validates_its_inputs_once_for_every_metric(shape):
+    queries, rows = np.ones(shape), np.ones((5, 3))
+    with pytest.raises(DimensionMismatchError, match=r"\(t, n\) queries against \(m, n\)"):
+        Cell(queries, rows, list_metrics())
+    if len(shape) != 1:    # pairwise takes a 1-d query as one query; it keeps its own message
+        for abbrev in list_metrics():
+            with pytest.raises(DimensionMismatchError, match=r"expected \(n,\) or \(t, n\)"):
+                pairwise(abbrev, queries, rows)
 
 
 @pytest.mark.parametrize("target", ("diff", "x", "y"))

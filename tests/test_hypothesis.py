@@ -11,7 +11,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from distbench.metrics import kernels  # noqa: E402
+from distbench import Cell, describe, list_metrics, pairwise  # noqa: E402
+from distbench.errors import DomainViolationError  # noqa: E402
+from distbench.metrics import kernels, registry  # noqa: E402
+
+from test_engine import _bits, _reference  # noqa: E402
 
 settings.register_profile("distbench", derandomize=True, max_examples=200, deadline=None,
                           database=None)
@@ -32,3 +36,61 @@ def test_feature_sum_is_numpy_sum_of_the_transpose(a):
         want = np.sum(natural, axis=-1).view(np.int64)
         for feature_sum in (kernels._fsum, kernels._replayed_sum):
             assert np.array_equal(feature_sum(a).view(np.int64), want), feature_sum.__name__
+
+
+# signed zeros, subnormals, exact ties, and magnitudes whose sums and
+# differences overflow, mixed with ordinary values
+engine_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, 1.0, 2.0, -1.0,
+                     1e300, -1e300, 1.7e308, -1.7e308]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def engine_inputs(draw):
+    """A (t, n) query matrix and an (m, n) training matrix."""
+    t, m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    queries = draw(hnp.arrays(np.float64, (t, n), elements=engine_values))
+    rows = draw(hnp.arrays(np.float64, (m, n), elements=engine_values))
+    if draw(st.booleans()):
+        queries[0] = rows[-1]                 # a query equal to a training row
+    if draw(st.booleans()):                   # inside every domain; -0.0 stays
+        queries, rows = (np.where(a < 0.0, -a, a) for a in (queries, rows))
+    return queries, rows
+
+
+def _agrees(compute, want, in_domain):
+    """``compute()`` gives the bits of ``want``, or refuses a domain or non-finite value."""
+    if in_domain and np.isfinite(want).all():
+        assert np.array_equal(_bits(compute()), _bits(want))
+    else:
+        with pytest.raises(DomainViolationError):
+            compute()
+
+
+@settings(max_examples=60)
+@given(engine_inputs())
+def test_engine_equals_the_per_query_kernel_loop(inputs):
+    # pairwise without a cell, and every block of a cell of all metrics,
+    # under the default block budget and under blocks of two queries
+    queries, rows = inputs
+    metrics = [describe(abbrev) for abbrev in list_metrics()]
+    negative = bool((queries < 0.0).any() or (rows < 0.0).any())
+    in_domain = {desc.abbrev: not (desc.requires_nonneg_inputs and negative) for desc in metrics}
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        want = {desc.abbrev: _reference(desc, queries, rows) for desc in metrics}
+        for budget in (registry.BLOCK_ELEMENTS, 2 * rows.size):
+            patch.setattr(registry, "BLOCK_ELEMENTS", budget)
+            for desc in metrics:
+                _agrees(lambda: pairwise(desc, queries, rows), want[desc.abbrev],
+                        in_domain[desc.abbrev])
+            cell = Cell(queries, rows, metrics)
+            start = 0
+            for block in cell.blocks():
+                at = slice(start, start + len(block))
+                start += len(block)
+                for desc in metrics:
+                    _agrees(lambda: pairwise(desc, block, rows, None, cell),
+                            want[desc.abbrev][at], in_domain[desc.abbrev])
+            assert start == len(queries)

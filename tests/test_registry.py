@@ -1,5 +1,6 @@
 """Registry contents, descriptor flags and lookup errors."""
 
+import numpy as np
 import pytest
 
 from distbench import Family, describe, evaluate, list_metrics, pairwise, similarity
@@ -88,6 +89,9 @@ def test_domain_violation_on_negative_inputs():
     with pytest.raises(DomainViolationError):
         evaluate("KLD", [1.0, 2.0], [-1.0, 1.0])
     assert evaluate("HasD", [-1.0, 2.0], [1.0, 1.0]) >= 0.0
+    # pairwise refuses the inputs even with no query to score
+    with pytest.raises(DomainViolationError, match="SCD requires non-negative inputs"):
+        pairwise("SCD", np.empty((0, 2)), [[1.0, -2.0]])
 
 
 def test_dimension_mismatch():
@@ -104,7 +108,6 @@ def test_similarity_is_one_minus_distance():
 
 
 def test_pairwise_matches_evaluate():
-    import numpy as np
     rng = np.random.default_rng(3)
     rows = rng.uniform(0.0, 5.0, size=(8, 6))
     q = rng.uniform(0.0, 5.0, size=6)
