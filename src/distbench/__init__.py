@@ -34,10 +34,8 @@ from .evaluation import (
 from .heap import keep_freed_heap
 from .knn import KnnModel, Neighbor, classify, classify_batch, neighbors
 from .metrics import (
-    DEFAULT_GUARD,
     Cell,
     Family,
-    GuardPolicy,
     MetricDescriptor,
     REGISTRY,
     describe,

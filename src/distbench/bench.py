@@ -260,13 +260,14 @@ def _load_datasets(cfg: ExperimentConfig) -> list[Dataset]:
 
 def per_dataset_means(records: list[RunRecord], kind: str,
                       level: float) -> dict[str, dict[str, float]]:
-    """metric -> dataset -> mean score over repetitions at one noise level."""
+    """metric -> dataset -> mean score over repetitions at one noise level,
+    datasets in name order, so no table depends on the order of ``records``."""
     sums: dict[str, dict[str, list[float]]] = {}
     for rec in records:
         if rec.noise_level != level:
             continue
         sums.setdefault(rec.metric, {}).setdefault(rec.dataset, []).append(rec.value(kind))
-    return {metric: {ds: sum(vals) / len(vals) for ds, vals in per_ds.items()}
+    return {metric: {ds: sum(vals) / len(vals) for ds, vals in sorted(per_ds.items())}
             for metric, per_ds in sums.items()}
 
 

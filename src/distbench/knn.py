@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DimensionMismatchError
-from .metrics import Cell, GuardPolicy, MetricDescriptor, describe, pairwise
+from .metrics import Cell, MetricDescriptor, describe, pairwise
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class KnnModel:
     labels: np.ndarray              # (m,) class ids
     metric: MetricDescriptor
     k: int = 1
-    guard: GuardPolicy | None = None   # None: use the metric's own policy
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -43,10 +42,9 @@ class KnnModel:
             raise ValueError(f"k={self.k} outside [1, {len(feats)}]")
 
     @classmethod
-    def from_dataset(cls, ds: Dataset, metric: str | MetricDescriptor, k: int = 1,
-                     guard: GuardPolicy | None = None) -> "KnnModel":
+    def from_dataset(cls, ds: Dataset, metric: str | MetricDescriptor, k: int = 1) -> "KnnModel":
         desc = describe(metric) if isinstance(metric, str) else metric
-        return cls(ds.features, ds.labels, desc, k, guard)
+        return cls(ds.features, ds.labels, desc, k)
 
     def __len__(self) -> int:
         return len(self.features)
@@ -58,7 +56,7 @@ def _distances(model: KnnModel, queries, ndim: int,
     if queries.ndim != ndim:
         raise DimensionMismatchError(
             f"expected a {ndim}-d query, got shape {queries.shape}")
-    return pairwise(model.metric, queries, model.features, model.guard, cell)
+    return pairwise(model.metric, queries, model.features, cell)
 
 
 def _nearest(model: KnnModel, dist: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Distance measure kernels and the metric registry."""
 
 from . import kernels
-from .kernels import DEFAULT_GUARD, EPSILON, GuardPolicy
+from .kernels import EPSILON
 from .registry import (
     REGISTRY,
     Cell,
@@ -18,10 +18,8 @@ from .registry import (
 __all__ = [
     "Cell",
     "CoreKernel",
-    "DEFAULT_GUARD",
     "EPSILON",
     "Family",
-    "GuardPolicy",
     "MetricDescriptor",
     "REGISTRY",
     "describe",

@@ -25,100 +25,59 @@ they disagree.
 
 Kernels that read elementwise terms such as x - y or min(x, y) are
 written over a PairTerms and wrapped by ``over_terms``, so they are
-still called as ``f(x, y, guard)``. A PairTerms computes each term once,
-so a registry.Cell that evaluates every metric of a query block on one
+still called as ``f(x, y)``. A PairTerms computes each term once, so a
+registry.Cell that evaluates every metric of a query block on one
 PairTerms computes each term once per block.
 
-Division by zero and logs of non-positive arguments are resolved by a
-GuardPolicy: a term whose numerator (or log coefficient) is zero always
-contributes 0, otherwise the offending denominator/argument is replaced
-by a small epsilon (default) or the whole term is zeroed, depending on
-the policy. Under the default policy every kernel returns a finite value
-for finite inputs in its domain.
+Division by zero and logs of non-positive arguments follow one rule: a
+term whose numerator (or log coefficient) is zero contributes 0, and
+otherwise the zero denominator or non-positive log argument is replaced
+by EPSILON. So every kernel returns a finite value for finite inputs in
+its domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 EPSILON = 1e-12
 
-TERM_IS_ZERO = "term_is_zero"
-EPSILON_SUBSTITUTE = "epsilon_substitute"
 
+def _div(num, den):
+    """num / den, with EPSILON in place of each zero denominator.
 
-@dataclass(frozen=True)
-class GuardPolicy:
-    """How kernels resolve zero denominators and non-positive log arguments."""
-
-    zero_denominator: str = EPSILON_SUBSTITUTE
-    log_nonpositive: str = EPSILON_SUBSTITUTE
-    epsilon: float = EPSILON
-
-    def __post_init__(self):
-        if self.zero_denominator not in (TERM_IS_ZERO, EPSILON_SUBSTITUTE):
-            raise ValueError(f"bad zero_denominator policy {self.zero_denominator!r}")
-        if self.log_nonpositive not in (TERM_IS_ZERO, EPSILON_SUBSTITUTE):
-            raise ValueError(f"bad log_nonpositive policy {self.log_nonpositive!r}")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-
-
-DEFAULT_GUARD = GuardPolicy()
-
-
-def _div(num, den, guard: GuardPolicy):
-    """num / den with zero denominators resolved by the guard policy.
-
-    A copy of the denominator holds 1 or the epsilon at each zero, so one
-    division gives every term, and one masked pass fixes up only the
-    flagged positions: zeroed, or num / epsilon turned +0.0 where num is
-    a zero of either sign.
+    A copy of the denominator holds EPSILON at each zero, so one division
+    gives every term, and one masked pass adds 0.0 at only the flagged
+    positions, so a zero numerator of either sign gives +0.0.
     """
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     bad = den == 0.0
     if not bad.any():
         return num / den
-    zeroing = guard.zero_denominator == TERM_IS_ZERO
     safe = den.copy()
-    safe[bad] = 1.0 if zeroing else guard.epsilon
+    safe[bad] = EPSILON
     out = np.asarray(num / safe)
-    if zeroing:
-        np.copyto(out, 0.0, where=bad)
-    else:
-        np.add(out, 0.0, out=out, where=bad)
+    np.add(out, 0.0, out=out, where=bad)
     return out
 
 
-def _xlog(coef, arg, guard: GuardPolicy):
-    """coef * ln(arg); zero coefficients contribute 0, bad args follow policy."""
+def _xlog(coef, arg):
+    """coef * ln(arg), with EPSILON in place of each non-positive argument;
+    zero coefficients contribute 0."""
     coef = np.asarray(coef, dtype=np.float64)
     arg = np.asarray(arg, dtype=np.float64)
     bad = arg <= 0.0
-    flagged = bad.any()
-    if flagged:
+    if bad.any():
         arg = arg.copy()
-        arg[bad] = guard.epsilon
+        arg[bad] = EPSILON
     term = np.asarray(coef * np.log(arg))
-    if flagged and guard.log_nonpositive == TERM_IS_ZERO:
-        np.copyto(term, 0.0, where=bad)
     zero = coef == 0.0
     if zero.any():
         np.copyto(term, 0.0, where=zero)
     return term
-
-
-def _xlogx(value, guard: GuardPolicy):
-    """value * ln(value) with the 0 * ln(0) = 0 convention."""
-    return _xlog(value, value, guard)
-
-
-def _dim(x, y) -> int:
-    return np.broadcast_shapes(np.shape(x), np.shape(y))[-1]
 
 
 def _frozen(value):
@@ -218,7 +177,7 @@ class PairTerms:
     and (n, 1, m). A caller that holds those copies already may pass
     them. Reading ``t.diff`` and the other names in TERMS computes that
     term once from the copies, as one contiguous feature-major array
-    such as (n, b, m); ``core()`` computes a core once per guard policy.
+    such as (n, b, m); ``core()`` computes a shared core once.
     Inputs, copies, terms and cores are read-only, so a kernel that
     writes into one fails loudly instead of changing what the next
     metric reads.
@@ -243,12 +202,11 @@ class PairTerms:
         setattr(self, name, value)
         return value
 
-    def core(self, core, guard: GuardPolicy):
-        """The value of the shared core ``core`` under ``guard``, computed once."""
-        key = (core, guard)
-        value = self._cores.get(key)
+    def core(self, core):
+        """The value of the shared core ``core``, computed once."""
+        value = self._cores.get(core)
         if value is None:
-            value = self._cores[key] = _frozen(on_terms(core, self, guard))
+            value = self._cores[core] = _frozen(on_terms(core, self))
         return value
 
 
@@ -267,13 +225,13 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
 
 
 def over_terms(body):
-    """The kernel ``f(x, y, guard)`` computing ``body(PairTerms(x, y), guard)``.
+    """The kernel ``f(x, y)`` computing ``body(PairTerms(x, y))``.
 
     ``f.over_terms`` is ``body``, which a caller holding the PairTerms of
     several metrics calls directly.
     """
-    def kernel(x, y, guard=DEFAULT_GUARD):
-        return body(PairTerms(x, y), guard)
+    def kernel(x, y):
+        return body(PairTerms(x, y))
 
     kernel.__name__, kernel.__qualname__ = body.__name__, body.__qualname__
     kernel.__doc__ = body.__doc__
@@ -281,102 +239,102 @@ def over_terms(body):
     return kernel
 
 
-def on_terms(func, t: PairTerms, guard: GuardPolicy):
+def on_terms(func, t: PairTerms):
     """A kernel or core evaluated on ``t``: through its body when it has one."""
     body = getattr(func, "over_terms", None)
-    return body(t, guard) if body is not None else func(t.x, t.y, guard)
+    return body(t) if body is not None else func(t.x, t.y)
 
 
-# Shared cores: reductions ``(x, y, guard) -> values`` over the features.
+# Shared cores: reductions ``(x, y) -> values`` over the features.
 # The registry finishes 30 measures from them, so factor-related measures
 # agree to the last ulp.
 
 @over_terms
-def abs_diff_sum(t, guard):
+def abs_diff_sum(t):
     """Sum of absolute component differences."""
     return _fsum(t.abs_diff)
 
 
 @over_terms
-def abs_diff_max(t, guard):
+def abs_diff_max(t):
     """Largest absolute component difference."""
     return np.maximum.reduce(t.abs_diff, axis=0)   # a maximum does not depend on order
 
 
 @over_terms
-def sq_diff_sum(t, guard):
+def sq_diff_sum(t):
     """Sum of squared component differences."""
     return _fsum(t.sq_diff)
 
 
 @over_terms
-def value_sum(t, guard):
+def value_sum(t):
     """Sum of the component sums x + y."""
     return _fsum(t.sum)
 
 
 @over_terms
-def max_sum(t, guard):
+def max_sum(t):
     """Sum of the component maxima."""
     return _fsum(t.max)
 
 
 @over_terms
-def min_sum(t, guard):
+def min_sum(t):
     """Sum of the component minima."""
     return _fsum(t.min)
 
 
 @over_terms
-def nonzero_count(t, guard):
+def nonzero_count(t):
     """Count of positions where x or y is non-zero, as a float."""
     return np.sum(t.sq_sum != 0.0, axis=0).astype(np.float64)
 
 
 @over_terms
-def inner_product(t, guard):
+def inner_product(t):
     """Sum of component products."""
     return _fsum(t.prod)
 
 
 @over_terms
-def squared_chord_sum(t, guard):
+def squared_chord_sum(t):
     """Sum of squared differences of component square roots."""
     return _fsum(np.square(np.sqrt(t.xf) - np.sqrt(t.yf)))
 
 
 @over_terms
-def squared_chi2_sum(t, guard):
+def squared_chi2_sum(t):
     """Sum of squared differences over component sums."""
-    return _fsum(_div(t.sq_diff, t.sum, guard))
+    return _fsum(_div(t.sq_diff, t.sum))
 
 
 @over_terms
-def neyman_sum(t, guard):
+def neyman_sum(t):
     """Directed chi-squared sum with x as the reference: sum((x - y)^2 / x)."""
-    return _fsum(_div(t.sq_diff, t.xf, guard))
+    return _fsum(_div(t.sq_diff, t.xf))
 
 
 @over_terms
-def pearson_sum(t, guard):
+def pearson_sum(t):
     """Directed chi-squared sum with y as the reference: sum((y - x)^2 / y).
 
     (y - x)^2 is (x - y)^2 bit for bit: the two differences are exact
     negations, zeros included up to sign, and squaring drops the sign.
     """
-    return _fsum(_div(t.sq_diff, t.yf, guard))
+    return _fsum(_div(t.sq_diff, t.yf))
 
 
 @over_terms
-def topsoe_sum(t, guard):
+def topsoe_sum(t):
     """Topsoe information statistic, twice the Jensen-Shannon divergence."""
     x, y, s = t.xf, t.yf, t.sum
-    return _fsum(_xlog(x, _div(2.0 * x, s, guard), guard)
-                 + _xlog(y, _div(2.0 * y, s, guard), guard))
+    return _fsum(_xlog(x, _div(2.0 * x, s))
+                 + _xlog(y, _div(2.0 * y, s)))
 
 
 @over_terms
-def pearson_r(t, guard):
+def pearson_r(t):
     """Pearson correlation over the features; zero variance maps to r = 0.
 
     Each mean is the sum over the count, which is how ``np.mean`` divides.
@@ -394,21 +352,21 @@ def pearson_r(t, guard):
 # L1 family
 
 @over_terms
-def lorentzian(t, guard):
+def lorentzian(t):
     """Sum of ln(1 + |x - y|); the +1 keeps each term non-negative."""
     return _fsum(np.log1p(t.abs_diff))
 
 
 @over_terms
-def canberra(t, guard):
+def canberra(t):
     """Manhattan weighted per dimension by |x| + |y|."""
-    return _fsum(_div(t.abs_diff, np.abs(t.xf) + np.abs(t.yf), guard))
+    return _fsum(_div(t.abs_diff, np.abs(t.xf) + np.abs(t.yf)))
 
 
 # Inner product family
 
 @over_terms
-def chord(t, guard):
+def chord(t):
     """Chord length between the vectors projected on the unit sphere.
 
     Computed as the plain Euclidean distance between the normalized
@@ -416,137 +374,134 @@ def chord(t, guard):
     form suffers near identical vectors.
     """
     x, y = t.xf, t.yf
-    xn = _div(x, np.sqrt(_fsum(np.square(x))), guard)
-    yn = _div(y, np.sqrt(_fsum(np.square(y))), guard)
+    xn = _div(x, np.sqrt(_fsum(np.square(x))))
+    yn = _div(y, np.sqrt(_fsum(np.square(y))))
     return np.sqrt(_fsum(np.square(xn - yn)))
 
 
 # Squared chord family (non-negative inputs only)
 
 @over_terms
-def bhattacharyya(t, guard):
+def bhattacharyya(t):
     """Negative log of the sum of geometric means; may be negative."""
     s = _fsum(np.sqrt(t.prod))
-    return -_xlog(np.ones_like(s), s, guard)
+    return -_xlog(np.ones_like(s), s)
 
 
 # Squared L2 family
 
 @over_terms
-def clark(t, guard):
+def clark(t):
     """Root of summed squared relative differences |x-y|/(x+y)."""
-    return np.sqrt(_fsum(np.square(_div(t.abs_diff, t.sum, guard))))
+    return np.sqrt(_fsum(np.square(_div(t.abs_diff, t.sum))))
 
 
 @over_terms
-def divergence(t, guard):
+def divergence(t):
     """Twice the summed squared differences over squared component sums."""
-    return 2.0 * _fsum(_div(t.sq_diff, np.square(t.sum), guard))
+    return 2.0 * _fsum(_div(t.sq_diff, np.square(t.sum)))
 
 
 @over_terms
-def additive_symmetric_chi2(t, guard):
+def additive_symmetric_chi2(t):
     """Symmetrized chi-squared: 2 * sum((x-y)^2 (x+y) / (x y))."""
-    return 2.0 * _fsum(_div(t.sq_diff * t.sum, t.prod, guard))
+    return 2.0 * _fsum(_div(t.sq_diff * t.sum, t.prod))
 
 
 @over_terms
-def squared_chi_squared(t, guard):
+def squared_chi_squared(t):
     """Squared differences over the absolute component sums."""
-    return _fsum(_div(t.sq_diff, np.abs(t.sum), guard))
+    return _fsum(_div(t.sq_diff, np.abs(t.sum)))
 
 
 # Shannon entropy family (non-negative inputs only)
 
 @over_terms
-def kullback_leibler(t, guard):
+def kullback_leibler(t):
     """Relative entropy of x with respect to y; not symmetric."""
-    return _fsum(_xlog(t.xf, _div(t.xf, t.yf, guard), guard))
+    return _fsum(_xlog(t.xf, _div(t.xf, t.yf)))
 
 
 @over_terms
-def jeffreys(t, guard):
+def jeffreys(t):
     """Symmetrized relative entropy: sum of (x - y) (ln x - ln y).
 
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
     x, y = t.xf, t.yf
-    bad_x = x <= 0.0
-    bad_y = y <= 0.0
-    term = t.diff * (np.log(np.where(bad_x, guard.epsilon, x))
-                     - np.log(np.where(bad_y, guard.epsilon, y)))
-    if guard.log_nonpositive == TERM_IS_ZERO:
-        np.copyto(term, 0.0, where=bad_x | bad_y)
+    term = t.diff * (np.log(np.where(x <= 0.0, EPSILON, x))
+                     - np.log(np.where(y <= 0.0, EPSILON, y)))
     np.copyto(term, 0.0, where=t.diff == 0.0)
     return _fsum(term)
 
 
 @over_terms
-def k_divergence(t, guard):
+def k_divergence(t):
     """Divergence of x from the midpoint distribution."""
-    return _fsum(_xlog(t.xf, _div(2.0 * t.xf, t.sum, guard), guard))
+    return _fsum(_xlog(t.xf, _div(2.0 * t.xf, t.sum)))
 
 
 @over_terms
-def jensen_difference(t, guard):
+def jensen_difference(t):
     """Half the summed Jensen differences of the entropy function."""
     m = 0.5 * t.sum
-    terms = 0.5 * (_xlogx(t.xf, guard) + _xlogx(t.yf, guard)) - _xlogx(m, guard)
+    # x ln x with the 0 ln 0 = 0 convention, for x, y and their midpoint
+    terms = 0.5 * (_xlog(t.xf, t.xf) + _xlog(t.yf, t.yf)) - _xlog(m, m)
     return 0.5 * _fsum(terms)
 
 
 # Vicissitude family
 
 @over_terms
-def vicis_wave_hedges(t, guard):
+def vicis_wave_hedges(t):
     """Absolute differences over the component minima."""
-    return _fsum(_div(t.abs_diff, t.min, guard))
+    return _fsum(_div(t.abs_diff, t.min))
 
 
 @over_terms
-def vicis_symmetric1(t, guard):
+def vicis_symmetric1(t):
     """Squared differences over the squared component minima."""
-    return _fsum(_div(t.sq_diff, np.square(t.min), guard))
+    return _fsum(_div(t.sq_diff, np.square(t.min)))
 
 
 @over_terms
-def vicis_symmetric2(t, guard):
+def vicis_symmetric2(t):
     """Squared differences over the component minima."""
-    return _fsum(_div(t.sq_diff, t.min, guard))
+    return _fsum(_div(t.sq_diff, t.min))
 
 
 @over_terms
-def vicis_symmetric3(t, guard):
+def vicis_symmetric3(t):
     """Squared differences over the component maxima."""
-    return _fsum(_div(t.sq_diff, t.max, guard))
+    return _fsum(_div(t.sq_diff, t.max))
 
 
 # Other measures
 
 @over_terms
-def kumar_johnson(t, guard):
+def kumar_johnson(t):
     """Sum of (x^2 + y^2)^2 / (2 (x y)^1.5)."""
     num = np.square(t.sq_sum)
     den = 2.0 * np.power(t.prod, 1.5)
-    return _fsum(_div(num, den, guard))
+    return _fsum(_div(num, den))
 
 
 @over_terms
-def taneja(t, guard):
+def taneja(t):
     """Arithmetic-geometric mean divergence."""
     m = 0.5 * t.sum
-    arg = _div(t.sum, 2.0 * np.sqrt(t.prod), guard)
-    return _fsum(_xlog(m, arg, guard))
+    arg = _div(t.sum, 2.0 * np.sqrt(t.prod))
+    return _fsum(_xlog(m, arg))
 
 
 @over_terms
-def hamming(t, guard):
+def hamming(t):
     """Count of positions where the components differ exactly."""
     return np.sum(t.xf != t.yf, axis=0).astype(np.float64)
 
 
-def hausdorff(x, y, guard=DEFAULT_GUARD):
+def hausdorff(x, y):
     """Hausdorff distance treating each vector as a set of scalars."""
     diff = np.abs(x[..., :, None] - y[..., None, :])   # (..., n_x, n_y)
     h_xy = np.max(np.min(diff, axis=-1), axis=-1)
@@ -555,28 +510,28 @@ def hausdorff(x, y, guard=DEFAULT_GUARD):
 
 
 @over_terms
-def chi2_statistic(t, guard):
+def chi2_statistic(t):
     """Sum of (x - m) / m with m the per-dimension midpoint; sign-indefinite."""
     m = 0.5 * t.sum
-    return _fsum(_div(t.xf - m, m, guard))
+    return _fsum(_div(t.xf - m, m))
 
 
 @over_terms
-def whittaker(t, guard):
+def whittaker(t):
     """Half the L1 distance between the sum-normalized vectors."""
     x, y = t.xf, t.yf
-    return 0.5 * _fsum(np.abs(_div(x, _fsum(x), guard) - _div(y, _fsum(y), guard)))
+    return 0.5 * _fsum(np.abs(_div(x, _fsum(x)) - _div(y, _fsum(y))))
 
 
 @over_terms
-def meehl(t, guard):
+def meehl(t):
     """Sum over consecutive positions of (d_i - d_{i+1})^2 with d = x - y."""
     d = t.diff
     return _fsum(np.square(d[:-1] - d[1:]))
 
 
 @over_terms
-def hassanat(t, guard):
+def hassanat(t):
     """Bounded per-dimension dissimilarity, each term in [0, 1].
 
     For non-negative pairs the term is 1 - (1 + min) / (1 + max); when the

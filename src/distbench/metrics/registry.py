@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, DomainViolationError, UnknownMetricError
 from . import kernels
-from .kernels import DEFAULT_GUARD, GuardPolicy, PairTerms, _dim, _div, _frozen, on_terms
+from .kernels import PairTerms, _div, _frozen, on_terms
 
 
 class Family(str, Enum):
@@ -38,11 +38,11 @@ class Family(str, Enum):
 class CoreKernel:
     """A kernel written as a finisher applied to shared cores.
 
-    Each core is a reduction ``(x, y, guard) -> values`` over the
-    features; ``finish(values, terms, guard)`` turns the tuple of core
-    values into distances, reading the vectors from ``terms`` (a
-    PairTerms) if it needs them. Calling the kernel computes the cores and
-    finishes them, so it is the one formula of the measure.
+    Each core is a reduction ``(x, y) -> values`` over the features;
+    ``finish(values, terms)`` turns the tuple of core values into
+    distances, reading the vectors from ``terms`` (a PairTerms) if it
+    needs them. Calling the kernel computes the cores and finishes them,
+    so it is the one formula of the measure.
     ``over_terms`` finishes from the cores a PairTerms shares, which a
     Cell uses to compute each core once per query block.
     """
@@ -50,70 +50,70 @@ class CoreKernel:
     cores: tuple[Callable[..., np.ndarray], ...]
     finish: Callable[..., np.ndarray]
 
-    def __call__(self, x, y, guard=DEFAULT_GUARD):
+    def __call__(self, x, y):
         t = PairTerms(x, y)
-        return self.finish(tuple(on_terms(core, t, guard) for core in self.cores), t, guard)
+        return self.finish(tuple(on_terms(core, t) for core in self.cores), t)
 
-    def over_terms(self, t: PairTerms, guard: GuardPolicy):
-        return self.finish(tuple(t.core(core, guard) for core in self.cores), t, guard)
+    def over_terms(self, t: PairTerms):
+        return self.finish(tuple(t.core(core) for core in self.cores), t)
 
 
-# Finishers: (core values, pair terms, guard) -> distances. Module-level
+# Finishers: (core values, pair terms) -> distances. Module-level
 # functions, so descriptors pickle.
 
-def _itself(values, t, guard):
+def _itself(values, t):
     return values[0]
 
 
-def _half(values, t, guard):
+def _half(values, t):
     return 0.5 * values[0]
 
 
-def _twice(values, t, guard):
+def _twice(values, t):
     return 2.0 * values[0]
 
 
-def _root(values, t, guard):
+def _root(values, t):
     return np.sqrt(values[0])
 
 
-def _root_of_twice(values, t, guard):
+def _root_of_twice(values, t):
     return np.sqrt(2.0 * values[0])
 
 
-def _per_dimension(values, t, guard):
-    return values[0] / _dim(t.x, t.y)
+def _per_dimension(values, t):
+    return values[0] / len(t.xf)
 
 
-def _root_per_dimension(values, t, guard):
-    return np.sqrt(values[0] / _dim(t.x, t.y))
+def _root_per_dimension(values, t):
+    return np.sqrt(values[0] / len(t.xf))
 
 
-def _root_per_nonzero(values, t, guard):
-    return np.sqrt(_div(values[0], values[1], guard))
+def _root_per_nonzero(values, t):
+    return np.sqrt(_div(values[0], values[1]))
 
 
-def _ratio(values, t, guard):
-    return _div(values[0], values[1], guard)
+def _ratio(values, t):
+    return _div(values[0], values[1])
 
 
-def _larger(values, t, guard):
+def _larger(values, t):
     return np.maximum(values[0], values[1])
 
 
-def _smaller(values, t, guard):
+def _smaller(values, t):
     return np.minimum(values[0], values[1])
 
 
-def _mean(values, t, guard):
+def _mean(values, t):
     return 0.5 * (values[0] + values[1])
 
 
-def _one_minus(values, t, guard):
+def _one_minus(values, t):
     return 1.0 - values[0]
 
 
-def _half_of_one_minus(values, t, guard):
+def _half_of_one_minus(values, t):
     return (1.0 - values[0]) / 2.0
 
 
@@ -122,22 +122,22 @@ def _squares(t):
     return kernels._fsum(np.square(t.xf)), kernels._fsum(np.square(t.yf))
 
 
-def _cosine(values, t, guard):
+def _cosine(values, t):
     xx, yy = _squares(t)
-    return 1.0 - _div(values[0], np.sqrt(xx) * np.sqrt(yy), guard)
+    return 1.0 - _div(values[0], np.sqrt(xx) * np.sqrt(yy))
 
 
-def _dice(values, t, guard):
+def _dice(values, t):
     xx, yy = _squares(t)
-    return 1.0 - _div(2.0 * values[0], xx + yy, guard)
+    return 1.0 - _div(2.0 * values[0], xx + yy)
 
 
-def _jaccard(values, t, guard):
+def _jaccard(values, t):
     xx, yy = _squares(t)
-    return _div(values[0], (xx + yy) - values[1], guard)
+    return _div(values[0], (xx + yy) - values[1])
 
 
-def _squared_pearson(values, t, guard):
+def _squared_pearson(values, t):
     # written via 1 - r so the algebraic tie to PeaD is bitwise
     s = 1.0 - (1.0 - values[0])
     return 1.0 - s * s
@@ -154,7 +154,6 @@ class MetricDescriptor:
     nonneg_output: bool = True
     full_metric: bool = False
     requires_nonneg_inputs: bool = False
-    guard: GuardPolicy = DEFAULT_GUARD
 
     def __post_init__(self):
         if self.full_metric and not (self.symmetric and self.zero_self and self.nonneg_output):
@@ -297,27 +296,22 @@ def _domain_error(desc: MetricDescriptor) -> DomainViolationError:
     return DomainViolationError(f"{desc.abbrev} requires non-negative inputs")
 
 
-def evaluate(metric: str | MetricDescriptor, x, y,
-             guard: GuardPolicy | None = None) -> float:
-    """Dissimilarity between two equal-dimension vectors.
-
-    Without an explicit guard the metric's own policy applies.
-    """
+def evaluate(metric: str | MetricDescriptor, x, y) -> float:
+    """Dissimilarity between two equal-length vectors of at least one feature."""
     desc = _resolve(metric)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatchError(
-            f"expected two equal-length 1-d vectors, got {x.shape} and {y.shape}")
+    if x.shape != y.shape or x.ndim != 1 or not x.size:
+        raise DimensionMismatchError(f"expected two equal-length 1-d vectors of n >= 1 "
+                                     f"features, got {x.shape} and {y.shape}")
     if desc.requires_nonneg_inputs and ((x < 0.0).any() or (y < 0.0).any()):
         raise _domain_error(desc)
-    return float(desc.func(x, y, guard if guard is not None else desc.guard))
+    return float(desc.func(x, y))
 
 
-def similarity(metric: str | MetricDescriptor, x, y,
-               guard: GuardPolicy | None = None) -> float:
+def similarity(metric: str | MetricDescriptor, x, y) -> float:
     """Similarity score 1 - d(x, y); meaningful for unit-range measures."""
-    return 1.0 - evaluate(metric, x, y, guard)
+    return 1.0 - evaluate(metric, x, y)
 
 
 # Elements in one query block's (b, m, n) kernel temporaries (256 KiB of
@@ -389,13 +383,14 @@ class Cell:
     The cell is the one distance engine: a cell of the benchmark scores
     every configured metric on one split, and ``pairwise`` without a cell
     scores through a one-metric cell. Queries that are not (t, n)
-    against (m, n) rows raise DimensionMismatchError. ``blocks()`` yields
-    the queries in blocks sized from BLOCK_ELEMENTS (no queries make one
-    empty block, which still meets every check). While a block is
-    current, ``pairwise(metric, block, rows, guard, cell)`` finishes a
-    metric from the block's PairTerms, so each pair term and core is
-    computed once per block for every metric of the cell, from
-    feature-major copies taken once for the rows and once per block.
+    against (m, n) rows, or have no features (n = 0), raise
+    DimensionMismatchError. ``blocks()`` yields the queries in blocks
+    sized from BLOCK_ELEMENTS (no queries make one empty block, which
+    still meets every check). While a block is current,
+    ``pairwise(metric, block, rows, cell)`` finishes a metric from the
+    block's PairTerms, so each pair term and core is computed once per
+    block for every metric of the cell, from feature-major copies taken
+    once for the rows and once per block.
     Terms, cores and the block's inputs are read-only views, dropped when
     the next block starts.
 
@@ -414,9 +409,9 @@ class Cell:
         self.queries = np.asarray(queries, dtype=np.float64)
         self.rows = np.asarray(rows, dtype=np.float64)
         if (self.queries.ndim != 2 or self.rows.ndim != 2
-                or self.queries.shape[1] != self.rows.shape[1]):
-            raise DimensionMismatchError(f"expected (t, n) queries against (m, n) rows, "
-                                         f"got {self.queries.shape} and {self.rows.shape}")
+                or self.queries.shape[1] != self.rows.shape[1] or not self.rows.shape[1]):
+            raise DimensionMismatchError(f"expected (t, n) queries against (m, n) rows with "
+                                         f"n >= 1, got {self.queries.shape} and {self.rows.shape}")
         self.metrics = tuple(_resolve(metric) for metric in metrics)
         self.skips: dict[str, str] = {desc.abbrev: "negative features outside metric domain"
                                       for desc in self.metrics
@@ -448,8 +443,7 @@ class Cell:
         finally:
             self.block = self._terms = None
 
-    def _distances(self, desc: MetricDescriptor, x, rows,
-                   guard: GuardPolicy | None) -> np.ndarray:
+    def _distances(self, desc: MetricDescriptor, x, rows) -> np.ndarray:
         if x is not self.block or rows is not self.rows:
             raise ValueError("a cell scores only its current query block against its rows")
         try:
@@ -464,8 +458,7 @@ class Cell:
                     self._hausdorff = out
                 out = self._hausdorff[self._at]
             else:
-                out = on_terms(desc.func, self._terms,
-                               guard if guard is not None else desc.guard)
+                out = on_terms(desc.func, self._terms)
             if not np.isfinite(out).all():
                 raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
         except DomainViolationError as exc:
@@ -474,9 +467,7 @@ class Cell:
         return out
 
 
-def pairwise(metric: str | MetricDescriptor, x, rows,
-             guard: GuardPolicy | None = None,
-             cell: Cell | None = None) -> np.ndarray:
+def pairwise(metric: str | MetricDescriptor, x, rows, cell: Cell | None = None) -> np.ndarray:
     """Dissimilarity from a query vector, or each query row, to every row of a matrix.
 
     ``x`` is one query of shape (n,), giving (m,) distances, or a query
@@ -492,14 +483,14 @@ def pairwise(metric: str | MetricDescriptor, x, rows,
     """
     desc = _resolve(metric)
     if cell is not None:
-        return cell._distances(desc, x, rows, guard)
+        return cell._distances(desc, x, rows)
     x = np.asarray(x, dtype=np.float64)
     try:
         cell = Cell(x[None] if x.ndim == 1 else x, rows, (desc,))
     except DimensionMismatchError:
-        raise DimensionMismatchError(f"expected (n,) or (t, n) against (m, n), "
+        raise DimensionMismatchError(f"expected (n,) or (t, n) against (m, n) with n >= 1, "
                                      f"got {x.shape} and {np.shape(rows)}") from None
     out = np.empty((len(cell.queries), len(cell.rows)), dtype=np.float64)
     for block in cell.blocks():
-        out[cell._at] = cell._distances(desc, block, cell.rows, guard)
+        out[cell._at] = cell._distances(desc, block, cell.rows)
     return out if x.ndim == 2 else out[0]

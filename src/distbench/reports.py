@@ -3,8 +3,10 @@
 Floats in the CSV are written with repr so rereading them is exact and
 two runs with the same seed produce byte-identical files. The CSV goes
 through the ``csv`` module with minimal quoting, so a dataset name that
-holds a comma or a quote reads back intact and any other name is written
-bare. Markdown tables round to four decimals, matching the usual
+holds a comma, a quote or a line feed reads back intact and any other
+name is written bare. A name that would not read back is refused: the
+writer leaves a carriage return unquoted, and Python 3.10's reader
+rejects NUL. Markdown tables round to four decimals, matching the usual
 presentation of accuracy results.
 """
 
@@ -27,6 +29,10 @@ def _sorted_records(records: list[RunRecord]) -> list[RunRecord]:
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
+    for name in {text for rec in records for text in (rec.dataset, rec.metric)}:
+        if "\r" in name or "\0" in name:
+            raise ConfigError(f"a records CSV cannot hold the name {name!r}: "
+                              f"it would not read back")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
@@ -44,16 +50,20 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 
 def write_records_csv(records: list[RunRecord], path) -> Path:
+    text = records_to_csv(records)   # a refused name leaves nothing written
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(records_to_csv(records), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
 
 
 def read_records_csv(path) -> list[RunRecord]:
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise ConfigError(f"{path} is not a readable records CSV: {exc}") from exc
     if not rows or rows[0] != CSV_HEADER.split(","):
         raise ConfigError(f"{path} is not a records CSV (bad header)")
     records = []
@@ -114,7 +124,7 @@ def level_stats_csv(records: list[RunRecord]) -> str:
     """Mean and standard deviation per (level, metric, score kind), as CSV.
 
     A row averages each dataset's mean and population standard deviation
-    over repetitions, summing datasets in their order in ``records``."""
+    over repetitions, summing datasets in name order."""
     grouped: dict[tuple[float, str, str], dict[str, list[float]]] = {}
     for rec in records:
         for kind in SCORE_KINDS:
@@ -122,8 +132,9 @@ def level_stats_csv(records: list[RunRecord]) -> str:
                 rec.dataset, []).append(rec.value(kind))
     lines = ["level,metric,kind,mean,stddev"]
     for (level, metric, kind), per_ds in sorted(grouped.items()):
-        means = [sum(values) / len(values) for values in per_ds.values()]
-        stds = [statistics.pstdev(values) for values in per_ds.values()]
+        groups = [values for _, values in sorted(per_ds.items())]
+        means = [sum(values) / len(values) for values in groups]
+        stds = [statistics.pstdev(values) for values in groups]
         lines.append(f"{level!r},{metric},{kind},{sum(means) / len(means)!r},"
                      f"{sum(stds) / len(stds)!r}")
     return "\n".join(lines) + "\n"

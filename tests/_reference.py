@@ -151,45 +151,34 @@ def macro_scores_ref(actual, predicted, n_classes):
 
 # -- guard references: full-array np.where forms -----------------------------
 
-TERM_IS_ZERO = "term_is_zero"
+EPSILON = 1e-12
 
 
-def div_ref(num, den, guard):
+def div_ref(num, den):
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     bad = den == 0.0
     if not np.any(bad):
         return num / den
     out = num / np.where(bad, 1.0, den)
-    if guard.zero_denominator == TERM_IS_ZERO:
-        fallback = np.zeros_like(out)
-    else:
-        fallback = num / guard.epsilon
-    return np.where(bad, np.where(num == 0.0, 0.0, fallback), out)
+    return np.where(bad, np.where(num == 0.0, 0.0, num / EPSILON), out)
 
 
-def xlog_ref(coef, arg, guard):
+def xlog_ref(coef, arg):
     coef = np.asarray(coef, dtype=np.float64)
     arg = np.asarray(arg, dtype=np.float64)
-    bad = arg <= 0.0
-    term = coef * np.log(np.where(bad, guard.epsilon, arg))
-    if guard.log_nonpositive == TERM_IS_ZERO:
-        term = np.where(bad, 0.0, term)
+    term = coef * np.log(np.where(arg <= 0.0, EPSILON, arg))
     return np.where(coef == 0.0, 0.0, term)
 
 
-def jeffreys_ref(x, y, guard):
+def jeffreys_ref(x, y):
     coef = x - y
-    bad_x = x <= 0.0
-    bad_y = y <= 0.0
-    term = coef * (np.log(np.where(bad_x, guard.epsilon, x))
-                   - np.log(np.where(bad_y, guard.epsilon, y)))
-    if guard.log_nonpositive == TERM_IS_ZERO:
-        term = np.where(bad_x | bad_y, 0.0, term)
+    term = coef * (np.log(np.where(x <= 0.0, EPSILON, x))
+                   - np.log(np.where(y <= 0.0, EPSILON, y)))
     return np.sum(np.where(coef == 0.0, 0.0, term), axis=-1)
 
 
-def hassanat_ref(x, y, guard):
+def hassanat_ref(x, y):
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     shift = np.where(lo >= 0.0, 0.0, -lo)

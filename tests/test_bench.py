@@ -142,16 +142,33 @@ def test_level_stats_csv_reads_back_as_the_records_aggregated(tiny_config, tmp_p
     keys = sorted({(rec.noise_level, rec.metric, kind) for rec in result.records for kind in kinds})
     assert [(float(level), metric, kind) for level, metric, kind, _m, _s in rows[1:]] == keys
     for level, metric, kind, mean, stddev in rows[1:]:
-        # each dataset's repetitions, then the datasets in the order the records list them
+        # each dataset's repetitions, then the datasets in name order
         per_ds: dict[str, list[float]] = {}
         for rec in result.records:
             if (rec.noise_level, rec.metric) == (float(level), metric):
                 per_ds.setdefault(rec.dataset, []).append(rec.value(kind))
-        assert list(per_ds) == ["alpha", "beta"]
-        means = [sum(values) / len(values) for values in per_ds.values()]
-        stds = [statistics.pstdev(values) for values in per_ds.values()]
+        assert sorted(per_ds) == ["alpha", "beta"]
+        groups = [per_ds[name] for name in sorted(per_ds)]
+        means = [sum(values) / len(values) for values in groups]
+        stds = [statistics.pstdev(values) for values in groups]
         assert float(mean) == sum(means) / len(means), (level, metric, kind)
         assert float(stddev) == sum(stds) / len(stds), (level, metric, kind)
+
+
+def test_tables_sum_datasets_in_name_order(tmp_path):
+    # the mean of 0.3, 0.2, 0.1 summed in that order is 0.19999999999999998,
+    # and 0.20000000000000004 in name order; every table sums in name order
+    scores = {"c": 0.3, "b": 0.2, "a": 0.1}
+    records = [RunRecord(name, metric, level, rep, ScoreTriple(value, value, value))
+               for level in (0.0, 0.5) for name, value in scores.items()
+               for metric in ("ED", "MD") for rep in range(2)]
+    tables = {}
+    for order, listed in (("config", records), ("name", records[::-1])):
+        emit_report(listed, tmp_path / order)
+        tables[order] = {p.name: p.read_bytes() for p in (tmp_path / order).iterdir()}
+    assert set(tables["config"]) == {"summary.md", "rank_tables.md", "level_stats.csv"}
+    assert tables["config"] == tables["name"]
+    assert b"0.5,ED,accuracy,0.20000000000000004,0.0\n" in tables["config"]["level_stats.csv"]
 
 
 def test_noise_phase_keeps_the_clean_phase_that_picked_its_metrics(tiny_config):

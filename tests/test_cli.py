@@ -1,5 +1,6 @@
 """The bench command line: happy paths and exit codes."""
 
+import csv
 import subprocess
 import sys
 
@@ -153,9 +154,6 @@ def _phase_and_report(tmp_path, cfg, phase):
             {p.name: p.read_bytes() for p in markdown.iterdir()})
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the tables average per-dataset means in the order of the records; a phase "
-    "keeps the config's dataset order, the records file sorts by name"))
 def test_report_rewrites_noise_tables_of_datasets_listed_out_of_name_order(tmp_path):
     paths = []
     for i, name in enumerate(("one", "two", "three", "four")):
@@ -215,10 +213,16 @@ def test_missing_dataset_file_exits_nonzero(tmp_path):
     assert main(["clean", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_bad_records_file_exits_nonzero(tmp_path):
+def test_bad_records_file_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "weird.csv"
     bad.write_text("definitely,not,records\n", encoding="utf-8")
     assert main(["compare", "--records", str(bad), "--reference", "HasD"]) == 1
+    # a file the csv reader refuses, here for a field over its size limit
+    bad.write_text(CSV_HEADER + "\n" + "x" * (csv.field_size_limit() + 1) + ",ED,0.0,0,1,1,1\n",
+                   encoding="utf-8")
+    assert main(["report", "--records", str(bad), "--format", "csv",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "is not a readable records CSV: field larger than field limit" in capsys.readouterr().err
 
 
 def test_module_entry_point(workspace):

@@ -10,8 +10,7 @@ from distbench import (Cell, ExperimentConfig, KnnModel, SplitPlan, classify, cl
 from distbench.bench import _run_block, _split_seed
 from distbench.errors import DimensionMismatchError, DomainViolationError
 from distbench.knn import _vote
-from distbench.metrics import CoreKernel, GuardPolicy, kernels, registry
-from distbench.metrics.kernels import TERM_IS_ZERO
+from distbench.metrics import CoreKernel, kernels, registry
 
 from conftest import make_blobs
 
@@ -30,10 +29,9 @@ def _tied_values(rng, shape, negative):
     return values - 1.0 if negative else values
 
 
-def _reference(desc, queries, rows, guard=None):
+def _reference(desc, queries, rows):
     """The per-query kernel loop: the metric's kernel on one query at a time."""
-    guard = guard if guard is not None else desc.guard
-    return np.stack([desc.func(q, rows, guard) for q in queries])
+    return np.stack([desc.func(q, rows) for q in queries])
 
 
 @pytest.mark.parametrize("abbrev", list_metrics())
@@ -110,9 +108,9 @@ def test_shared_core_is_computed_once_per_cell(monkeypatch):
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 5 * train.features.size)
     pairs = []
 
-    def counting(x, y, guard):
+    def counting(x, y):
         pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
-        return kernels.abs_diff_sum(x, y, guard)
+        return kernels.abs_diff_sum(x, y)
 
     for abbrev in metrics:
         desc = describe(abbrev)
@@ -138,9 +136,9 @@ def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
                                                                  recipe(t))[1])
     on_terms = kernels.on_terms   # PairTerms.core computes a core through it
 
-    def counting(func, t, guard):
+    def counting(func, t):
         computed.append(func.__name__)
-        return on_terms(func, t, guard)
+        return on_terms(func, t)
 
     monkeypatch.setattr(kernels, "on_terms", counting)
     cell = Cell(queries, rows, list_metrics())
@@ -148,7 +146,7 @@ def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
     for block in cell.blocks():
         blocks += 1
         for desc in cell.live():
-            pairwise(desc, block, rows, None, cell)
+            pairwise(desc, block, rows, cell)
     cores = {core.__name__ for abbrev in list_metrics()
              for core in getattr(describe(abbrev).func, "cores", ())}
     assert blocks == 3 and not cell.skips
@@ -187,51 +185,40 @@ def test_core_store_changes_no_distance(metrics, monkeypatch):
     # through it every distance is the per-query kernel's, bit for bit, every
     # prediction the vote over those distances, and every error the library path's
     rng = np.random.default_rng(len(metrics))
-    zeroing = GuardPolicy(zero_denominator=TERM_IS_ZERO, log_nonpositive=TERM_IS_ZERO)
-    for n in (13, 0):                          # zero features as well
+    for n in (13, 0):                          # zero features are refused
         rows = _tied_values(rng, (37, n), negative=False)
         queries = _tied_values(rng, (11, n), negative=False)
         queries[0] = rows[5]
         rows[3, :4] = 0.0                      # zero denominators and log arguments
         labels = rng.integers(0, 3, size=37)
-        # blocks of 4 queries, the last one short; one block without features
-        monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * max(rows.size, 1))
-        for guard in (None, zeroing):
-            want = {}
-            for abbrev in metrics:   # the library path's error, or the per-query kernels' bits
-                library = _outcome(lambda: pairwise(abbrev, queries, rows, guard))
-                want[abbrev] = library if isinstance(library, tuple) else _bits(
-                    _reference(describe(abbrev), queries, rows, guard))
-            cell = Cell(queries, rows, metrics)
-            start = 0
-            for block in cell.blocks():
-                at = slice(start, start + len(block))
-                start += len(block)
-                for abbrev in metrics:
-                    expected = want[abbrev] if isinstance(want[abbrev], tuple) else want[abbrev][at]
-                    got = _outcome(lambda: pairwise(abbrev, block, rows, guard, cell))
-                    assert _same(got, expected), (abbrev, n, guard)
-                    if isinstance(expected, tuple):
-                        continue
-                    model = KnnModel(rows, labels, describe(abbrev), k=3, guard=guard)
-                    votes = [_vote(model, row) for row in expected.view(np.float64)]
-                    assert classify_batch(model, block, cell).tolist() == votes, (abbrev, n)
-            assert start == len(queries) and cell.block is None
-
-
-def test_core_store_keeps_cores_of_one_guard_policy():
-    # a zero reference component: NCSD's term is guarded, so the policy matters
-    rows = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.0]])
-    queries = np.array([[0.0, 2.0], [1.0, 0.0]])
-    zeroing = GuardPolicy(zero_denominator=TERM_IS_ZERO)
-    cell = Cell(queries, rows, ("NCSD", "MSCD"))
-    ncsd, mscd = describe("NCSD"), describe("MSCD")
-    for block in cell.blocks():
-        zeroed = pairwise(ncsd, block, rows, zeroing, cell)
-        assert np.array_equal(_bits(zeroed), _bits(_reference(ncsd, queries, rows, zeroing)))
-        got = pairwise(mscd, block, rows, None, cell)
-        assert np.array_equal(_bits(got), _bits(_reference(mscd, queries, rows)))
-        assert not np.array_equal(zeroed, _reference(ncsd, queries, rows))
+        if n == 0:
+            with pytest.raises(DimensionMismatchError, match="n >= 1"):
+                Cell(queries, rows, metrics)
+            for abbrev in metrics:
+                with pytest.raises(DimensionMismatchError, match="n >= 1"):
+                    pairwise(abbrev, queries, rows)
+            continue
+        monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * rows.size)   # the last block short
+        want = {}
+        for abbrev in metrics:   # the library path's error, or the per-query kernels' bits
+            library = _outcome(lambda: pairwise(abbrev, queries, rows))
+            want[abbrev] = library if isinstance(library, tuple) else _bits(
+                _reference(describe(abbrev), queries, rows))
+        cell = Cell(queries, rows, metrics)
+        start = 0
+        for block in cell.blocks():
+            at = slice(start, start + len(block))
+            start += len(block)
+            for abbrev in metrics:
+                expected = want[abbrev] if isinstance(want[abbrev], tuple) else want[abbrev][at]
+                got = _outcome(lambda: pairwise(abbrev, block, rows, cell))
+                assert _same(got, expected), (abbrev, n)
+                if isinstance(expected, tuple):
+                    continue
+                model = KnnModel(rows, labels, describe(abbrev), k=3)
+                votes = [_vote(model, row) for row in expected.view(np.float64)]
+                assert classify_batch(model, block, cell).tolist() == votes, (abbrev, n)
+        assert start == len(queries) and cell.block is None
 
 
 def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
@@ -241,11 +228,11 @@ def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 2 * rows.size)   # blocks of 2 queries
     calls = []
 
-    def failing_second_call(x, y, guard):
+    def failing_second_call(x, y):
         calls.append(len(x))
         if len(calls) == 2:
             raise FloatingPointError("second call")
-        return kernels.abs_diff_sum(x, y, guard)
+        return kernels.abs_diff_sum(x, y)
 
     md, mcd = (dataclasses.replace(describe(a), func=CoreKernel((failing_second_call,),
                                                                 describe(a).func.finish))
@@ -254,12 +241,12 @@ def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
     want = _reference(describe("MCD"), queries, rows)
     blocks = cell.blocks()
     block = next(blocks)
-    pairwise(md, block, rows, None, cell)
-    pairwise(mcd, block, rows, None, cell)       # the core MD computed
+    pairwise(md, block, rows, cell)
+    pairwise(mcd, block, rows, cell)       # the core MD computed
     block = next(blocks)
     with pytest.raises(FloatingPointError):
-        pairwise(md, block, rows, None, cell)
-    got = pairwise(mcd, block, rows, None, cell)  # computes the core again: nothing half kept
+        pairwise(md, block, rows, cell)
+    got = pairwise(mcd, block, rows, cell)  # computes the core again: nothing half kept
     assert np.array_equal(_bits(got), _bits(want[2:4]))
     assert calls == [2, 2, 2]
 
@@ -270,10 +257,10 @@ def test_core_store_refuses_other_arrays():
     queries = rng.uniform(0.0, 1.0, size=(5, 3))
     cell = Cell(queries, rows, ("MD", "MCD"))
     with pytest.raises(ValueError, match="current query block"):
-        pairwise("MD", queries, rows, None, cell)     # no block is current yet
+        pairwise("MD", queries, rows, cell)     # no block is current yet
     for block in cell.blocks():
         with pytest.raises(ValueError, match="current query block"):
-            pairwise("MD", block.copy(), rows, None, cell)
+            pairwise("MD", block.copy(), rows, cell)
         with pytest.raises(ValueError, match="current query block"):
             classify_batch(KnnModel(rows.copy(), np.zeros(9), describe("MD")), block, cell)
         model = KnnModel(rows, np.zeros(9), describe("MD"))
@@ -300,7 +287,7 @@ def test_a_kernel_writing_into_a_shared_term_fails_loudly(target):
     rows = np.array([[0.0, 1.0], [2.0, 0.5]])
     queries = np.array([[1.0, 2.0]])
 
-    def writing(t, guard):
+    def writing(t):
         getattr(t, target)[...] = 0.0
         return np.sum(t.abs_diff, axis=-1)
 
@@ -308,5 +295,5 @@ def test_a_kernel_writing_into_a_shared_term_fails_loudly(target):
     cell = Cell(queries, rows, (desc,))
     for block in cell.blocks():
         with pytest.raises(ValueError, match="read-only"):
-            pairwise(desc, block, rows, None, cell)
+            pairwise(desc, block, rows, cell)
     assert rows.flags.writeable and queries.flags.writeable   # only the cell's views are frozen

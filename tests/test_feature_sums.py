@@ -12,14 +12,10 @@ import numpy as np
 import pytest
 
 from distbench import Cell, list_metrics, pairwise
-from distbench.metrics import GuardPolicy, kernels, registry
-from distbench.metrics.kernels import TERM_IS_ZERO
+from distbench.metrics import kernels, registry
 from distbench.metrics.registry import evaluate
 
 LENGTHS = [*range(141), 256, 300]
-
-GUARDS = {"epsilon": None,
-          "zeroing": GuardPolicy(zero_denominator=TERM_IS_ZERO, log_nonpositive=TERM_IS_ZERO)}
 
 
 def _bits(value):
@@ -76,31 +72,31 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
-def _every_path(queries, rows, guard):
+def _every_path(queries, rows):
     """Each metric's outcome through a cell, the library path and evaluate."""
     out = {}
     cell = Cell(queries, rows, list_metrics())
     for i, block in enumerate(cell.blocks()):
         for abbrev in list_metrics():
-            out[abbrev, "cell", i] = _outcome(lambda: pairwise(abbrev, block, rows, guard, cell))
+            out[abbrev, "cell", i] = _outcome(lambda: pairwise(abbrev, block, rows, cell))
     for abbrev in list_metrics():
-        out[abbrev, "library"] = _outcome(lambda: pairwise(abbrev, queries, rows, guard))
-        out[abbrev, "evaluate"] = _outcome(lambda: evaluate(abbrev, queries[0], rows[0], guard))
+        out[abbrev, "library"] = _outcome(lambda: pairwise(abbrev, queries, rows))
+        out[abbrev, "evaluate"] = _outcome(lambda: evaluate(abbrev, queries[0], rows[0]))
     return out
 
 
 @pytest.mark.parametrize("n", (1, 4, 9, 16, 60, 130))
-@pytest.mark.parametrize("guard", GUARDS.values(), ids=GUARDS.keys())
-def test_every_metric_is_unchanged_under_the_numpy_fallback(n, guard, monkeypatch):
+@pytest.mark.parametrize("rule", ["epsilon"])   # the one guard rule, EPSILON substitution
+def test_every_metric_is_unchanged_under_the_numpy_fallback(n, rule, monkeypatch):
     rng = np.random.default_rng(n)
     grid = rng.integers(0, 4, size=(19, n)) * 0.5      # zeros and exact ties
     values = np.where(rng.random((19, n)) < 0.5, grid, rng.uniform(0.0, 2.0, size=(19, n)))
     queries, rows = values[:7], values[7:]
     queries[1] = rows[2]
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 3 * rows.size)   # blocks of 3, 3 and 1
-    replayed = _every_path(queries, rows, guard)
+    replayed = _every_path(queries, rows)
     monkeypatch.setattr(kernels, "_fsum", kernels._numpy_sum)
-    fallback = _every_path(queries, rows, guard)
+    fallback = _every_path(queries, rows)
     assert replayed.keys() == fallback.keys()
     for key, want in fallback.items():
         got = replayed[key]

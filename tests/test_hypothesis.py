@@ -4,6 +4,9 @@ Each property searches generated inputs and shrinks any counterexample;
 ``derandomize=True`` keeps every run of the suite on the same examples.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from distbench import Cell, describe, list_metrics, pairwise  # noqa: E402
-from distbench.errors import DomainViolationError  # noqa: E402
+from distbench import (Cell, RunRecord, ScoreTriple, describe, list_metrics,  # noqa: E402
+                       pairwise, read_records_csv, write_records_csv)
+from distbench.errors import ConfigError, DomainViolationError  # noqa: E402
 from distbench.metrics import kernels, registry  # noqa: E402
 
 from test_engine import _bits, _reference  # noqa: E402
@@ -91,6 +95,30 @@ def test_engine_equals_the_per_query_kernel_loop(inputs):
                 at = slice(start, start + len(block))
                 start += len(block)
                 for desc in metrics:
-                    _agrees(lambda: pairwise(desc, block, rows, None, cell),
+                    _agrees(lambda: pairwise(desc, block, rows, cell),
                             want[desc.abbrev][at], in_domain[desc.abbrev])
             assert start == len(queries)
+
+
+# names of any text but lone surrogates (which UTF-8 cannot encode), with the
+# characters a CSV must quote or refuse drawn often
+record_names = st.text(st.one_of(st.sampled_from(',"\r\n\0 \t'),
+                                 st.characters(blacklist_categories=("Cs",))), max_size=8)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(record_names, record_names, st.integers(0, 9),
+                          st.floats(0.0, 1.0)), max_size=4))
+def test_records_csv_reads_back_every_name_or_writes_nothing(rows):
+    records = [RunRecord(dataset, metric, 0.5, rep, ScoreTriple(score, 1.0 - score, score / 3))
+               for dataset, metric, rep, score in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out" / "records.csv"
+        try:
+            write_records_csv(records, path)
+        except ConfigError:
+            assert any(char in rec.dataset + rec.metric for rec in records for char in "\r\0")
+            assert not path.parent.exists()
+            return
+        key = lambda r: (r.dataset, r.metric, r.noise_level, r.repetition)  # noqa: E731
+        assert read_records_csv(path) == sorted(records, key=key)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from distbench import describe, evaluate, list_metrics, pairwise
-from distbench.metrics import GuardPolicy, kernels
-from distbench.metrics.kernels import TERM_IS_ZERO
+from distbench.metrics import kernels
 
 N_PAIRS = 1000
 DIM = 6
@@ -189,7 +188,7 @@ def test_hamming_counts_exact_mismatches():
 
 def test_guard_zero_denominator_with_zero_numerator():
     # equal vectors containing zeros: every offending term has a zero
-    # numerator and must vanish under either policy
+    # numerator and must vanish
     x = np.array([0.0, 2.0, 0.0])
     for abbrev in ("CanD", "VWHD", "VSDF1", "SquD", "CSSD", "KD", "SD", "WIAD"):
         assert evaluate(abbrev, x, x) == 0.0, abbrev
@@ -199,13 +198,6 @@ def test_guard_epsilon_substitution_is_finite_and_large():
     value = evaluate("VWHD", [0.0, 1.0], [2.0, 1.0])  # 2/min(0,2) -> 2/eps
     assert np.isfinite(value)
     assert value > 1e11
-
-
-def test_guard_term_is_zero_policy():
-    policy = GuardPolicy(zero_denominator=TERM_IS_ZERO, log_nonpositive=TERM_IS_ZERO)
-    assert evaluate("VWHD", [0.0, 1.0], [2.0, 1.0], guard=policy) == 0.0
-    # BD's whole value is one log term; zeroed when the sum is non-positive
-    assert evaluate("BD", [1.0, 0.0], [0.0, 1.0], guard=policy) == 0.0
 
 
 def test_guard_log_epsilon_substitution():

@@ -1,9 +1,12 @@
 """Registry contents, descriptor flags and lookup errors."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from distbench import Family, describe, evaluate, list_metrics, pairwise, similarity
+from distbench import Cell, Family, KnnModel, describe, evaluate, list_metrics, pairwise, similarity
 from distbench.errors import (
     DimensionMismatchError,
     DomainViolationError,
@@ -60,12 +63,17 @@ def test_unknown_metric():
 
 
 def test_descriptor_carries_default_guard_policy():
-    from distbench import DEFAULT_GUARD, GuardPolicy
-    assert describe("CanD").guard == DEFAULT_GUARD
-    assert describe("CanD").guard.epsilon == 1e-12
-    # an explicit guard overrides the descriptor's policy
-    strict = GuardPolicy(zero_denominator="term_is_zero")
-    assert evaluate("VWHD", [0.0, 1.0], [2.0, 1.0], guard=strict) == 0.0
+    # one guard rule for every metric: EPSILON replaces a zero denominator,
+    # and no descriptor, model or entry point takes another
+    from distbench.metrics import EPSILON
+    assert EPSILON == 1e-12
+    assert evaluate("VWHD", [0.0, 1.0], [2.0, 1.0]) == 2.0 / EPSILON
+    assert pairwise("VWHD", [0.0, 1.0], [[2.0, 1.0]]).tolist() == [2.0 / EPSILON]
+    for abbrev in list_metrics():
+        assert not hasattr(describe(abbrev), "guard"), abbrev
+    assert "guard" not in {f.name for f in dataclasses.fields(KnnModel)}
+    for func in (evaluate, similarity, pairwise, KnnModel.from_dataset):
+        assert "guard" not in inspect.signature(func).parameters, func.__name__
 
 
 def test_full_metric_implies_other_flags():
@@ -99,6 +107,20 @@ def test_dimension_mismatch():
         evaluate("ED", [1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
         pairwise("ED", [1.0, 2.0], [[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("abbrev", EXPECTED_ABBREVS)
+def test_zero_features_are_refused_alike_by_every_metric(abbrev):
+    # no metric has a distance between vectors of no features, so every
+    # entry point refuses them the same way instead of failing per kernel
+    with pytest.raises(DimensionMismatchError, match=r"n >= 1, got \(2, 0\) and \(4, 0\)"):
+        pairwise(abbrev, np.zeros((2, 0)), np.ones((4, 0)))
+    with pytest.raises(DimensionMismatchError, match=r"n >= 1, got \(0,\) and \(4, 0\)"):
+        pairwise(abbrev, np.zeros(0), np.ones((4, 0)))
+    with pytest.raises(DimensionMismatchError, match=r"n >= 1, got \(2, 0\) and \(4, 0\)"):
+        Cell(np.zeros((2, 0)), np.ones((4, 0)), (abbrev,))
+    with pytest.raises(DimensionMismatchError, match=r"n >= 1 features, got \(0,\) and \(0,\)"):
+        evaluate(abbrev, [], [])
 
 
 def test_similarity_is_one_minus_distance():
