@@ -340,9 +340,8 @@ def pearson_r(t):
     Each mean is the sum over the count, which is how ``np.mean`` divides.
     """
     x, y = t.xf, t.yf
-    count = max(len(x), 1)      # no features: nothing is centred, and r = 0
-    xc = x - _fsum(x) / count
-    yc = y - _fsum(y) / count
+    xc = x - _fsum(x) / len(x)
+    yc = y - _fsum(y) / len(y)
     num = _fsum(xc * yc)
     den = np.sqrt(_fsum(np.square(xc)) * _fsum(np.square(yc)))
     r = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
