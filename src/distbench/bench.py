@@ -63,8 +63,6 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.datasets:
             raise ConfigError("no datasets configured")
-        if not self.metrics:
-            raise ConfigError("no metrics configured")
         _check_metrics(self.metrics)
         if self.k < 1:
             raise ConfigError("k must be positive")
@@ -82,7 +80,9 @@ class ExperimentConfig:
 
 
 def _check_metrics(metrics: tuple[str, ...]) -> None:
-    """Every metric is registered, and listed once so no record repeats."""
+    """At least one metric is listed, each registered and listed once so no record repeats."""
+    if not metrics:
+        raise ConfigError("no metrics configured")
     for abbrev in metrics:
         describe(abbrev)  # raises UnknownMetricError
     repeated = sorted({abbrev for abbrev in metrics if metrics.count(abbrev) > 1})
@@ -383,6 +383,8 @@ def compare_to_reference(records: list[RunRecord], reference: str,
         raise ConfigError(f"no records for reference metric {reference!r}")
     if others is None:
         others = [m for m in sorted(present) if m != reference]
+    else:
+        _check_metrics(tuple(others))
     test = wilcoxon_signed_rank if signed_rank else wilcoxon_rank_sum
     rows = []
     for other in others:

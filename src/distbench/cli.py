@@ -95,7 +95,7 @@ def cmd_clean(args) -> int:
 
 
 def _noise_metrics(args):
-    if args.metrics:
+    if args.metrics is not None:
         return tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     if args.published_top:
         return PUBLISHED_TOP
@@ -139,7 +139,7 @@ def _format_compare(reference: str, rows: list[CompareRow], alpha: float) -> str
 def cmd_compare(args) -> int:
     records = read_records_csv(args.records)
     others = None
-    if args.metrics:
+    if args.metrics is not None:
         others = [m.strip() for m in args.metrics.split(",") if m.strip()]
     rows = compare_to_reference(records, args.reference, others,
                                 noise_level=args.noise_level, alpha=args.alpha,

@@ -4,30 +4,29 @@
 registry, from the shared cores below: reductions such as the sum of
 absolute differences that several measures are simple functions of.
 
-Every kernel and core is a pure function of two float ndarrays whose
-last axis is the vector dimension, so the same code evaluates a single
-pair (n,), a training matrix against one query (m, n) vs (n,), or
-batches of pairs (b, n) vs (b, n). Callers are expected to pass float64
-arrays; the registry front end does the conversion and the domain
-checks.
+Every kernel and core is a pure function of one PairTerms ``t``, the
+pair x, y of float ndarrays whose last axis is the vector dimension, so
+the same code evaluates a single pair (n,), a training matrix against
+one query (m, n) vs (n,), or batches of pairs (b, n) vs (b, n): a batch
+is scored as ``kernel(PairTerms(x, y))``. Callers are expected to pass
+float64 arrays; the registry front end (``evaluate``, ``pairwise``)
+does the conversion and the domain checks.
 
-Kernels read their arguments through a PairTerms, which also holds them
-feature-major: the vector dimension moved to the front, so an
-elementwise term of a (b, 1, n) block against (m, n) rows is one
-contiguous (n, b, m) array. Every sum over the features runs along that
-leading axis as whole-slab adds in numpy's own pairwise order
-(``_fsum``), so it gives the bits ``np.sum(..., axis=-1)`` gives on the
-natural layout without numpy's per-element cost on a short axis; maxima
-and counts, whose results do not depend on order, reduce the leading
-axis directly. An import-time probe checks the replayed order against
-the installed numpy and falls back to ``np.sum`` on a transposed copy if
-they disagree.
+A PairTerms holds x and y feature-major as well: the vector dimension
+moved to the front, so an elementwise term of a (b, 1, n) block against
+(m, n) rows is one contiguous (n, b, m) array. Every sum over the
+features runs along that leading axis as whole-slab adds in numpy's own
+pairwise order (``_fsum``), so it gives the bits ``np.sum(..., axis=-1)``
+gives on the natural layout without numpy's per-element cost on a short
+axis; maxima and counts, whose results do not depend on order, reduce
+the leading axis directly. An import-time probe checks the replayed
+order against the installed numpy and falls back to ``np.sum`` on a
+transposed copy if they disagree.
 
-Kernels that read elementwise terms such as x - y or min(x, y) are
-written over a PairTerms and wrapped by ``over_terms``, so they are
-still called as ``f(x, y)``. A PairTerms computes each term once, so a
-registry.Cell that evaluates every metric of a query block on one
-PairTerms computes each term once per block.
+A PairTerms computes each elementwise term (x - y, min(x, y), ...) and
+each shared core once, so a registry.Cell that evaluates every metric
+of a query block on one PairTerms computes each once per block.
+``hausdorff`` alone reads the natural ``t.x`` and ``t.y``.
 
 Division by zero and logs of non-positive arguments follow one rule: a
 term whose numerator (or log coefficient) is zero contributes 0, and
@@ -170,14 +169,13 @@ def _feature_major(a, ndim: int) -> np.ndarray:
 class PairTerms:
     """Elementwise terms of x against y, each computed on first use and kept.
 
-    ``x`` and ``y`` broadcast against each other, as a kernel's arguments
-    do. ``xf`` and ``yf`` are their C-contiguous feature-major copies:
-    the last axis moved to the front after both are given the same
-    number of axes, so a (b, 1, n) block and (m, n) rows become (n, b, 1)
-    and (n, 1, m). A caller that holds those copies already may pass
+    ``x`` and ``y`` broadcast against each other. ``xf`` and ``yf`` are
+    their C-contiguous feature-major copies: the last axis moved to the
+    front after both are given the same number of axes, so a (b, 1, n)
+    block and (m, n) rows become (n, b, 1) and (n, 1, m). A caller that holds those copies already may pass
     them. Reading ``t.diff`` and the other names in TERMS computes that
     term once from the copies, as one contiguous feature-major array
-    such as (n, b, m); ``core()`` computes a shared core once.
+    such as (n, b, m); ``core(core)`` computes ``core(t)`` once.
     Inputs, copies, terms and cores are read-only, so a kernel that
     writes into one fails loudly instead of changing what the next
     metric reads.
@@ -206,7 +204,7 @@ class PairTerms:
         """The value of the shared core ``core``, computed once."""
         value = self._cores.get(core)
         if value is None:
-            value = self._cores[core] = _frozen(on_terms(core, self))
+            value = self._cores[core] = _frozen(core(self))
         return value
 
 
@@ -224,98 +222,65 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
 }
 
 
-def over_terms(body):
-    """The kernel ``f(x, y)`` computing ``body(PairTerms(x, y))``.
-
-    ``f.over_terms`` is ``body``, which a caller holding the PairTerms of
-    several metrics calls directly.
-    """
-    def kernel(x, y):
-        return body(PairTerms(x, y))
-
-    kernel.__name__, kernel.__qualname__ = body.__name__, body.__qualname__
-    kernel.__doc__ = body.__doc__
-    kernel.over_terms = body
-    return kernel
-
-
-def on_terms(func, t: PairTerms):
-    """A kernel or core evaluated on ``t``: through its body when it has one."""
-    body = getattr(func, "over_terms", None)
-    return body(t) if body is not None else func(t.x, t.y)
-
-
-# Shared cores: reductions ``(x, y) -> values`` over the features.
+# Shared cores: reductions ``t -> values`` over the features.
 # The registry finishes 30 measures from them, so factor-related measures
 # agree to the last ulp.
 
-@over_terms
 def abs_diff_sum(t):
     """Sum of absolute component differences."""
     return _fsum(t.abs_diff)
 
 
-@over_terms
 def abs_diff_max(t):
     """Largest absolute component difference."""
     return np.maximum.reduce(t.abs_diff, axis=0)   # a maximum does not depend on order
 
 
-@over_terms
 def sq_diff_sum(t):
     """Sum of squared component differences."""
     return _fsum(t.sq_diff)
 
 
-@over_terms
 def value_sum(t):
     """Sum of the component sums x + y."""
     return _fsum(t.sum)
 
 
-@over_terms
 def max_sum(t):
     """Sum of the component maxima."""
     return _fsum(t.max)
 
 
-@over_terms
 def min_sum(t):
     """Sum of the component minima."""
     return _fsum(t.min)
 
 
-@over_terms
 def nonzero_count(t):
     """Count of positions where x or y is non-zero, as a float."""
     return np.sum(t.sq_sum != 0.0, axis=0).astype(np.float64)
 
 
-@over_terms
 def inner_product(t):
     """Sum of component products."""
     return _fsum(t.prod)
 
 
-@over_terms
 def squared_chord_sum(t):
     """Sum of squared differences of component square roots."""
     return _fsum(np.square(np.sqrt(t.xf) - np.sqrt(t.yf)))
 
 
-@over_terms
 def squared_chi2_sum(t):
     """Sum of squared differences over component sums."""
     return _fsum(_div(t.sq_diff, t.sum))
 
 
-@over_terms
 def neyman_sum(t):
     """Directed chi-squared sum with x as the reference: sum((x - y)^2 / x)."""
     return _fsum(_div(t.sq_diff, t.xf))
 
 
-@over_terms
 def pearson_sum(t):
     """Directed chi-squared sum with y as the reference: sum((y - x)^2 / y).
 
@@ -325,7 +290,6 @@ def pearson_sum(t):
     return _fsum(_div(t.sq_diff, t.yf))
 
 
-@over_terms
 def topsoe_sum(t):
     """Topsoe information statistic, twice the Jensen-Shannon divergence."""
     x, y, s = t.xf, t.yf, t.sum
@@ -333,7 +297,6 @@ def topsoe_sum(t):
                  + _xlog(y, _div(2.0 * y, s)))
 
 
-@over_terms
 def pearson_r(t):
     """Pearson correlation over the features; zero variance maps to r = 0.
 
@@ -350,13 +313,11 @@ def pearson_r(t):
 
 # L1 family
 
-@over_terms
 def lorentzian(t):
     """Sum of ln(1 + |x - y|); the +1 keeps each term non-negative."""
     return _fsum(np.log1p(t.abs_diff))
 
 
-@over_terms
 def canberra(t):
     """Manhattan weighted per dimension by |x| + |y|."""
     return _fsum(_div(t.abs_diff, np.abs(t.xf) + np.abs(t.yf)))
@@ -364,7 +325,6 @@ def canberra(t):
 
 # Inner product family
 
-@over_terms
 def chord(t):
     """Chord length between the vectors projected on the unit sphere.
 
@@ -380,7 +340,6 @@ def chord(t):
 
 # Squared chord family (non-negative inputs only)
 
-@over_terms
 def bhattacharyya(t):
     """Negative log of the sum of geometric means; may be negative."""
     s = _fsum(np.sqrt(t.prod))
@@ -389,25 +348,21 @@ def bhattacharyya(t):
 
 # Squared L2 family
 
-@over_terms
 def clark(t):
     """Root of summed squared relative differences |x-y|/(x+y)."""
     return np.sqrt(_fsum(np.square(_div(t.abs_diff, t.sum))))
 
 
-@over_terms
 def divergence(t):
     """Twice the summed squared differences over squared component sums."""
     return 2.0 * _fsum(_div(t.sq_diff, np.square(t.sum)))
 
 
-@over_terms
 def additive_symmetric_chi2(t):
     """Symmetrized chi-squared: 2 * sum((x-y)^2 (x+y) / (x y))."""
     return 2.0 * _fsum(_div(t.sq_diff * t.sum, t.prod))
 
 
-@over_terms
 def squared_chi_squared(t):
     """Squared differences over the absolute component sums."""
     return _fsum(_div(t.sq_diff, np.abs(t.sum)))
@@ -415,13 +370,11 @@ def squared_chi_squared(t):
 
 # Shannon entropy family (non-negative inputs only)
 
-@over_terms
 def kullback_leibler(t):
     """Relative entropy of x with respect to y; not symmetric."""
     return _fsum(_xlog(t.xf, _div(t.xf, t.yf)))
 
 
-@over_terms
 def jeffreys(t):
     """Symmetrized relative entropy: sum of (x - y) (ln x - ln y).
 
@@ -435,13 +388,11 @@ def jeffreys(t):
     return _fsum(term)
 
 
-@over_terms
 def k_divergence(t):
     """Divergence of x from the midpoint distribution."""
     return _fsum(_xlog(t.xf, _div(2.0 * t.xf, t.sum)))
 
 
-@over_terms
 def jensen_difference(t):
     """Half the summed Jensen differences of the entropy function."""
     m = 0.5 * t.sum
@@ -452,25 +403,21 @@ def jensen_difference(t):
 
 # Vicissitude family
 
-@over_terms
 def vicis_wave_hedges(t):
     """Absolute differences over the component minima."""
     return _fsum(_div(t.abs_diff, t.min))
 
 
-@over_terms
 def vicis_symmetric1(t):
     """Squared differences over the squared component minima."""
     return _fsum(_div(t.sq_diff, np.square(t.min)))
 
 
-@over_terms
 def vicis_symmetric2(t):
     """Squared differences over the component minima."""
     return _fsum(_div(t.sq_diff, t.min))
 
 
-@over_terms
 def vicis_symmetric3(t):
     """Squared differences over the component maxima."""
     return _fsum(_div(t.sq_diff, t.max))
@@ -478,7 +425,6 @@ def vicis_symmetric3(t):
 
 # Other measures
 
-@over_terms
 def kumar_johnson(t):
     """Sum of (x^2 + y^2)^2 / (2 (x y)^1.5)."""
     num = np.square(t.sq_sum)
@@ -486,7 +432,6 @@ def kumar_johnson(t):
     return _fsum(_div(num, den))
 
 
-@over_terms
 def taneja(t):
     """Arithmetic-geometric mean divergence."""
     m = 0.5 * t.sum
@@ -494,42 +439,38 @@ def taneja(t):
     return _fsum(_xlog(m, arg))
 
 
-@over_terms
 def hamming(t):
     """Count of positions where the components differ exactly."""
     return np.sum(t.xf != t.yf, axis=0).astype(np.float64)
 
 
-def hausdorff(x, y):
+def hausdorff(t):
     """Hausdorff distance treating each vector as a set of scalars."""
+    x, y = t.x, t.y
     diff = np.abs(x[..., :, None] - y[..., None, :])   # (..., n_x, n_y)
     h_xy = np.max(np.min(diff, axis=-1), axis=-1)
     h_yx = np.max(np.min(diff, axis=-2), axis=-1)
     return np.maximum(h_xy, h_yx)
 
 
-@over_terms
 def chi2_statistic(t):
     """Sum of (x - m) / m with m the per-dimension midpoint; sign-indefinite."""
     m = 0.5 * t.sum
     return _fsum(_div(t.xf - m, m))
 
 
-@over_terms
 def whittaker(t):
     """Half the L1 distance between the sum-normalized vectors."""
     x, y = t.xf, t.yf
     return 0.5 * _fsum(np.abs(_div(x, _fsum(x)) - _div(y, _fsum(y))))
 
 
-@over_terms
 def meehl(t):
     """Sum over consecutive positions of (d_i - d_{i+1})^2 with d = x - y."""
     d = t.diff
     return _fsum(np.square(d[:-1] - d[1:]))
 
 
-@over_terms
 def hassanat(t):
     """Bounded per-dimension dissimilarity, each term in [0, 1].
 

@@ -1,10 +1,12 @@
 """Registry of the 54 distance measures with per-metric property flags.
 
-Flags record what each measure guarantees on its declared domain:
+Flags record what each measure guarantees on its declared domain, zero
+and constant vectors included:
 
 - ``symmetric``: d(x, y) equals d(y, x) exactly.
-- ``zero_self``: d(x, x) is 0 for every x in the domain.
-- ``nonneg_output``: the score is never negative on domain inputs.
+- ``zero_self``: d(x, x) is 0, up to rounding, for every x in the domain.
+- ``nonneg_output``: the score is never negative, up to rounding, on
+  domain inputs.
 - ``full_metric``: all four metric axioms hold (implies the three above).
 - ``requires_nonneg_inputs``: inputs with negative components are rejected.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from ..errors import DimensionMismatchError, DomainViolationError, UnknownMetricError
 from . import kernels
-from .kernels import PairTerms, _div, _frozen, on_terms
+from .kernels import PairTerms, _div, _frozen
 
 
 class Family(str, Enum):
@@ -38,23 +40,18 @@ class Family(str, Enum):
 class CoreKernel:
     """A kernel written as a finisher applied to shared cores.
 
-    Each core is a reduction ``(x, y) -> values`` over the features;
-    ``finish(values, terms)`` turns the tuple of core values into
-    distances, reading the vectors from ``terms`` (a PairTerms) if it
-    needs them. Calling the kernel computes the cores and finishes them,
-    so it is the one formula of the measure.
-    ``over_terms`` finishes from the cores a PairTerms shares, which a
-    Cell uses to compute each core once per query block.
+    Each core is a reduction ``t -> values`` over the features of a
+    PairTerms ``t``; ``finish(values, t)`` turns the tuple of core values
+    into distances, reading the vectors from ``t`` if it needs them.
+    Calling the kernel on ``t`` takes each core from ``t.core``, which
+    computes it once per PairTerms, so a Cell computes each core once per
+    query block for every metric that shares it.
     """
 
-    cores: tuple[Callable[..., np.ndarray], ...]
+    cores: tuple[Callable[[PairTerms], np.ndarray], ...]
     finish: Callable[..., np.ndarray]
 
-    def __call__(self, x, y):
-        t = PairTerms(x, y)
-        return self.finish(tuple(on_terms(core, t) for core in self.cores), t)
-
-    def over_terms(self, t: PairTerms):
+    def __call__(self, t: PairTerms):
         return self.finish(tuple(t.core(core) for core in self.cores), t)
 
 
@@ -145,10 +142,18 @@ def _squared_pearson(values, t):
 
 @dataclass(frozen=True)
 class MetricDescriptor:
+    """A measure, its family and the flags of the module docstring.
+
+    ``func(t)`` is the measure's one formula: the distances of x against
+    y held by the PairTerms ``t``, given by a kernel of ``kernels`` or a
+    CoreKernel. Library callers score through ``evaluate`` and
+    ``pairwise``, which check shapes and the domain first.
+    """
+
     abbrev: str
     name: str
     family: Family
-    func: Callable[..., np.ndarray]
+    func: Callable[[PairTerms], np.ndarray]
     symmetric: bool = True
     zero_self: bool = True
     nonneg_output: bool = True
@@ -175,9 +180,12 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         # L1
         MetricDescriptor("LD", "Lorentzian", F.L1, k.lorentzian, full_metric=True),
         MetricDescriptor("CanD", "Canberra", F.L1, k.canberra),
-        MetricDescriptor("SD", "Sorensen", F.L1, C((k.abs_diff_sum, k.value_sum), _ratio)),
-        MetricDescriptor("SoD", "Soergel", F.L1, C((k.abs_diff_sum, k.max_sum), _ratio)),
-        MetricDescriptor("KD", "Kulczynski", F.L1, C((k.abs_diff_sum, k.min_sum), _ratio)),
+        MetricDescriptor("SD", "Sorensen", F.L1, C((k.abs_diff_sum, k.value_sum), _ratio),
+                         nonneg_output=False),
+        MetricDescriptor("SoD", "Soergel", F.L1, C((k.abs_diff_sum, k.max_sum), _ratio),
+                         nonneg_output=False),
+        MetricDescriptor("KD", "Kulczynski", F.L1, C((k.abs_diff_sum, k.min_sum), _ratio),
+                         nonneg_output=False),
         MetricDescriptor("MCD", "Mean Character", F.L1, C((k.abs_diff_sum,), _per_dimension),
                          full_metric=True),
         MetricDescriptor("NID", "Non Intersection", F.L1, C((k.abs_diff_sum,), _half),
@@ -185,8 +193,10 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         # Inner product
         MetricDescriptor("JacD", "Jaccard", F.INNER_PRODUCT,
                          C((k.sq_diff_sum, k.inner_product), _jaccard)),
-        MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT, C((k.inner_product,), _cosine)),
-        MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT, C((k.inner_product,), _dice)),
+        MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT, C((k.inner_product,), _cosine),
+                         zero_self=False),
+        MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT, C((k.inner_product,), _dice),
+                         zero_self=False),
         MetricDescriptor("ChoD", "Chord", F.INNER_PRODUCT, k.chord),
         # Squared chord
         MetricDescriptor("BD", "Bhattacharyya", F.SQUARED_CHORD, k.bhattacharyya,
@@ -203,16 +213,16 @@ def _build_registry() -> dict[str, MetricDescriptor]:
                          C((k.sq_diff_sum,), _itself)),
         MetricDescriptor("ClaD", "Clark", F.SQUARED_L2, k.clark),
         MetricDescriptor("NCSD", "Neyman chi-squared", F.SQUARED_L2,
-                         C((k.neyman_sum,), _itself), symmetric=False),
+                         C((k.neyman_sum,), _itself), symmetric=False, nonneg_output=False),
         MetricDescriptor("PCSD", "Pearson chi-squared", F.SQUARED_L2,
-                         C((k.pearson_sum,), _itself), symmetric=False),
+                         C((k.pearson_sum,), _itself), symmetric=False, nonneg_output=False),
         MetricDescriptor("SquD", "Squared chi-squared", F.SQUARED_L2,
-                         C((k.squared_chi2_sum,), _itself)),
+                         C((k.squared_chi2_sum,), _itself), nonneg_output=False),
         MetricDescriptor("PSCSD", "Probabilistic Symmetric chi-squared", F.SQUARED_L2,
-                         C((k.squared_chi2_sum,), _twice)),
+                         C((k.squared_chi2_sum,), _twice), nonneg_output=False),
         MetricDescriptor("DivD", "Divergence", F.SQUARED_L2, k.divergence),
         MetricDescriptor("ASCSD", "Additive Symmetric chi-squared", F.SQUARED_L2,
-                         k.additive_symmetric_chi2),
+                         k.additive_symmetric_chi2, nonneg_output=False),
         MetricDescriptor("AD", "Average", F.SQUARED_L2,
                          C((k.sq_diff_sum,), _root_per_dimension), full_metric=True),
         MetricDescriptor("MCED", "Mean Censored Euclidean", F.SQUARED_L2,
@@ -232,25 +242,29 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         MetricDescriptor("JDD", "Jensen difference", F.SHANNON_ENTROPY, k.jensen_difference,
                          requires_nonneg_inputs=True),
         # Vicissitude
-        MetricDescriptor("VWHD", "Vicis-Wave Hedges", F.VICISSITUDE, k.vicis_wave_hedges),
+        MetricDescriptor("VWHD", "Vicis-Wave Hedges", F.VICISSITUDE, k.vicis_wave_hedges,
+                         nonneg_output=False),
         MetricDescriptor("VSDF1", "Vicis Symmetric 1", F.VICISSITUDE, k.vicis_symmetric1),
-        MetricDescriptor("VSDF2", "Vicis Symmetric 2", F.VICISSITUDE, k.vicis_symmetric2),
-        MetricDescriptor("VSDF3", "Vicis Symmetric 3", F.VICISSITUDE, k.vicis_symmetric3),
+        MetricDescriptor("VSDF2", "Vicis Symmetric 2", F.VICISSITUDE, k.vicis_symmetric2,
+                         nonneg_output=False),
+        MetricDescriptor("VSDF3", "Vicis Symmetric 3", F.VICISSITUDE, k.vicis_symmetric3,
+                         nonneg_output=False),
         MetricDescriptor("MSCD", "Max Symmetric chi-squared", F.VICISSITUDE,
-                         C((k.neyman_sum, k.pearson_sum), _larger)),
+                         C((k.neyman_sum, k.pearson_sum), _larger), nonneg_output=False),
         MetricDescriptor("MiSCSD", "Min Symmetric chi-squared", F.VICISSITUDE,
-                         C((k.neyman_sum, k.pearson_sum), _smaller)),
+                         C((k.neyman_sum, k.pearson_sum), _smaller), nonneg_output=False),
         # Other
         MetricDescriptor("AvgD", "Average (L1, Linf)", F.OTHER,
                          C((k.abs_diff_sum, k.abs_diff_max), _mean), full_metric=True),
         MetricDescriptor("KJD", "Kumar-Johnson", F.OTHER, k.kumar_johnson,
                          zero_self=False, requires_nonneg_inputs=True),
         MetricDescriptor("TanD", "Taneja", F.OTHER, k.taneja, requires_nonneg_inputs=True),
-        MetricDescriptor("PeaD", "Pearson", F.OTHER, C((k.pearson_r,), _one_minus)),
+        MetricDescriptor("PeaD", "Pearson", F.OTHER, C((k.pearson_r,), _one_minus),
+                         zero_self=False),
         MetricDescriptor("CorD", "Correlation", F.OTHER,
-                         C((k.pearson_r,), _half_of_one_minus)),
+                         C((k.pearson_r,), _half_of_one_minus), zero_self=False),
         MetricDescriptor("SPeaD", "Squared Pearson", F.OTHER,
-                         C((k.pearson_r,), _squared_pearson)),
+                         C((k.pearson_r,), _squared_pearson), zero_self=False),
         MetricDescriptor("HamD", "Hamming", F.OTHER, k.hamming, full_metric=True),
         MetricDescriptor("HauD", "Hausdorff", F.OTHER, k.hausdorff),
         MetricDescriptor("CSSD", "Chi-squared statistic", F.OTHER, k.chi2_statistic,
@@ -258,7 +272,7 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         MetricDescriptor("WIAD", "Whittaker's index of association", F.OTHER, k.whittaker),
         MetricDescriptor("MeeD", "Meehl", F.OTHER, k.meehl),
         MetricDescriptor("MotD", "Motyka", F.OTHER, C((k.max_sum, k.value_sum), _ratio),
-                         zero_self=False),
+                         zero_self=False, nonneg_output=False),
         MetricDescriptor("HasD", "Hassanat", F.OTHER, k.hassanat, full_metric=True),
     ]
     registry = {row.abbrev: row for row in rows}
@@ -306,7 +320,7 @@ def evaluate(metric: str | MetricDescriptor, x, y) -> float:
                                      f"features, got {x.shape} and {y.shape}")
     if desc.requires_nonneg_inputs and ((x < 0.0).any() or (y < 0.0).any()):
         raise _domain_error(desc)
-    return float(desc.func(x, y))
+    return float(desc.func(PairTerms(x, y)))
 
 
 def similarity(metric: str | MetricDescriptor, x, y) -> float:
@@ -458,7 +472,7 @@ class Cell:
                     self._hausdorff = out
                 out = self._hausdorff[self._at]
             else:
-                out = on_terms(desc.func, self._terms)
+                out = desc.func(self._terms)
             if not np.isfinite(out).all():
                 raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
         except DomainViolationError as exc:
@@ -471,8 +485,8 @@ def pairwise(metric: str | MetricDescriptor, x, rows, cell: Cell | None = None) 
     """Dissimilarity from a query vector, or each query row, to every row of a matrix.
 
     ``x`` is one query of shape (n,), giving (m,) distances, or a query
-    matrix of shape (t, n), giving (t, m). The query is passed as the
-    kernel's first argument, which matters for the non-symmetric measures
+    matrix of shape (t, n), giving (t, m). The query is the x of the
+    kernel's PairTerms, which matters for the non-symmetric measures
     (KLD, KDD, NCSD, PCSD, CSSD). Without ``cell`` the queries are scored
     block by block through a one-metric Cell. With ``cell``, ``x`` is the
     cell's current block and ``rows`` its training rows, and the metric is

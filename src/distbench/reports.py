@@ -5,9 +5,10 @@ two runs with the same seed produce byte-identical files. The CSV goes
 through the ``csv`` module with minimal quoting, so a dataset name that
 holds a comma, a quote or a line feed reads back intact and any other
 name is written bare. A name that would not read back is refused: the
-writer leaves a carriage return unquoted, and Python 3.10's reader
-rejects NUL. Markdown tables round to four decimals, matching the usual
-presentation of accuracy results.
+writer leaves a carriage return unquoted, Python 3.10's reader rejects
+NUL, and the reader refuses a field longer than
+``csv.field_size_limit()``. Markdown tables round to four decimals,
+matching the usual presentation of accuracy results.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ def _sorted_records(records: list[RunRecord]) -> list[RunRecord]:
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
+    limit = csv.field_size_limit()
     for name in {text for rec in records for text in (rec.dataset, rec.metric)}:
+        if len(name) > limit:
+            raise ConfigError(f"a records CSV cannot hold a name of {len(name)} characters, "
+                              f"over the reader's field size limit of {limit}: "
+                              f"it would not read back")
         if "\r" in name or "\0" in name:
             raise ConfigError(f"a records CSV cannot hold the name {name!r}: "
                               f"it would not read back")

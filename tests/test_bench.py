@@ -1,6 +1,7 @@
 """Benchmark phases: seed sharing, skips, aggregation, comparison, reports."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -202,6 +203,17 @@ def test_noise_phase_rejects_a_repeated_metric(tiny_config):
         run_noise_phase(cfg, top_metrics=("MD", "ED", "MD"))
 
 
+def test_an_empty_metric_list_is_refused(tiny_config):
+    from dataclasses import replace
+    with pytest.raises(ConfigError, match="no metrics"):
+        replace(tiny_config, metrics=()).validate()
+    with pytest.raises(ConfigError, match="no metrics"):
+        run_noise_phase(replace(tiny_config, noise_levels=(0.3,)), top_metrics=())
+    records = _records_for_compare(gap=0.05)
+    with pytest.raises(ConfigError, match="no metrics"):
+        compare_to_reference(records, "HasD", [])
+
+
 def test_noise_level_zero_matches_clean_phase(tiny_config):
     from distbench import load_csv
     clean = run_clean_phase(tiny_config)
@@ -285,6 +297,21 @@ def test_records_csv_round_trips_a_name_with_a_comma(tmp_path):
                RunRecord('say "hi"', "MD", 0.1, 1, ScoreTriple(1.0, 1.0, 1.0))]
     path = write_records_csv(records, tmp_path / "records.csv")
     assert read_records_csv(path) == sorted(records, key=lambda r: r.dataset)
+
+
+@pytest.mark.parametrize("field", ("dataset", "metric"))
+def test_records_csv_refuses_a_name_over_the_field_size_limit(field, tmp_path):
+    # a name of exactly the reader's limit reads back; one more character is
+    # refused before anything is written
+    limit = csv.field_size_limit()
+    record = RunRecord("d", "ED", 0.0, 0, ScoreTriple(0.5, 0.25, 0.75))
+    longest = dataclasses.replace(record, **{field: '"' * limit})
+    path = write_records_csv([longest], tmp_path / "records.csv")
+    assert read_records_csv(path) == [longest]
+    too_long = dataclasses.replace(record, **{field: "x" * (limit + 1)})
+    with pytest.raises(ConfigError, match="would not read back"):
+        write_records_csv([too_long], tmp_path / "out" / "records.csv")
+    assert not (tmp_path / "out").exists()
 
 
 def test_records_csv_schema(tmp_path):

@@ -180,6 +180,21 @@ def test_compare_subcommand(workspace, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("listed", [",", "", " , "])
+def test_an_empty_metric_list_exits_nonzero(workspace, capsys, listed):
+    tmp_path, cfg = workspace
+    out = tmp_path / "noise"
+    assert main(["noise", "--config", str(cfg), "--metrics", listed, "--out", str(out)]) == 1
+    assert "error: no metrics" in capsys.readouterr().err
+    assert not out.exists()
+    main(["clean", "--config", str(cfg), "--out", str(tmp_path / "clean")])
+    capsys.readouterr()
+    assert main(["compare", "--records", str(tmp_path / "clean" / "records.csv"),
+                 "--reference", "HasD", "--metrics", listed]) == 1
+    captured = capsys.readouterr()
+    assert "error: no metrics" in captured.err and not captured.out
+
+
 def test_report_subcommand_round_trips(workspace):
     # markdown rewrites each table file a phase wrote, csv its records file
     tmp_path, cfg = workspace

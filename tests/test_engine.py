@@ -11,6 +11,7 @@ from distbench.bench import _run_block, _split_seed
 from distbench.errors import DimensionMismatchError, DomainViolationError
 from distbench.knn import _vote
 from distbench.metrics import CoreKernel, kernels, registry
+from distbench.metrics.kernels import PairTerms
 
 from conftest import make_blobs
 
@@ -30,8 +31,12 @@ def _tied_values(rng, shape, negative):
 
 
 def _reference(desc, queries, rows):
-    """The per-query kernel loop: the metric's kernel on one query at a time."""
-    return np.stack([desc.func(q, rows) for q in queries])
+    """The per-query kernel loop: the metric's kernel on one query at a time.
+
+    Each query gets its own PairTerms, never a cell's, so the loop shares
+    no term or core with the engine it checks.
+    """
+    return np.stack([desc.func(PairTerms(q, rows)) for q in queries])
 
 
 @pytest.mark.parametrize("abbrev", list_metrics())
@@ -62,7 +67,7 @@ def test_sorted_hausdorff_matches_reference_kernel(monkeypatch):
         rows = rng.choice(pool, size=(29, n))
         queries = rng.choice(pool, size=(9, n))
         queries[1] = rows[0][::-1]                # same set, other order: distance 0
-        want = np.stack([kernels.hausdorff(q, rows) for q in queries])
+        want = np.stack([kernels.hausdorff(PairTerms(q, rows)) for q in queries])
         for budget in (registry.BLOCK_ELEMENTS, 1, 3 * rows.size):
             monkeypatch.setattr(registry, "BLOCK_ELEMENTS", budget)
             got = pairwise("HauD", queries, rows)
@@ -108,9 +113,9 @@ def test_shared_core_is_computed_once_per_cell(monkeypatch):
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 5 * train.features.size)
     pairs = []
 
-    def counting(x, y):
-        pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
-        return kernels.abs_diff_sum(x, y)
+    def counting(t):
+        pairs.append(int(np.prod(np.broadcast_shapes(np.shape(t.x), np.shape(t.y))[:-1])))
+        return kernels.abs_diff_sum(t)
 
     for abbrev in metrics:
         desc = describe(abbrev)
@@ -134,13 +139,14 @@ def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
         monkeypatch.setitem(kernels.TERMS, name,
                             lambda t, name=name, recipe=recipe: (computed.append(name),
                                                                  recipe(t))[1])
-    on_terms = kernels.on_terms   # PairTerms.core computes a core through it
+    core = kernels.PairTerms.core   # every shared core is computed through it
 
-    def counting(func, t):
-        computed.append(func.__name__)
-        return on_terms(func, t)
+    def counting(t, func):
+        if func not in t._cores:     # computed now, not read back from the PairTerms
+            computed.append(func.__name__)
+        return core(t, func)
 
-    monkeypatch.setattr(kernels, "on_terms", counting)
+    monkeypatch.setattr(kernels.PairTerms, "core", counting)
     cell = Cell(queries, rows, list_metrics())
     blocks = 0
     for block in cell.blocks():
@@ -228,11 +234,11 @@ def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 2 * rows.size)   # blocks of 2 queries
     calls = []
 
-    def failing_second_call(x, y):
-        calls.append(len(x))
+    def failing_second_call(t):
+        calls.append(len(t.x))
         if len(calls) == 2:
             raise FloatingPointError("second call")
-        return kernels.abs_diff_sum(x, y)
+        return kernels.abs_diff_sum(t)
 
     md, mcd = (dataclasses.replace(describe(a), func=CoreKernel((failing_second_call,),
                                                                 describe(a).func.finish))
@@ -291,7 +297,7 @@ def test_a_kernel_writing_into_a_shared_term_fails_loudly(target):
         getattr(t, target)[...] = 0.0
         return np.sum(t.abs_diff, axis=-1)
 
-    desc = dataclasses.replace(describe("MD"), abbrev="MD*", func=kernels.over_terms(writing))
+    desc = dataclasses.replace(describe("MD"), abbrev="MD*", func=writing)
     cell = Cell(queries, rows, (desc,))
     for block in cell.blocks():
         with pytest.raises(ValueError, match="read-only"):

@@ -17,6 +17,7 @@ import pytest
 import _reference as ref
 from distbench import describe, list_metrics
 from distbench.metrics import kernels, registry
+from distbench.metrics.kernels import PairTerms
 
 
 def _cases():
@@ -48,7 +49,7 @@ def _run(desc, x, y):
     """Bits of the (3, 4) distances, and the RuntimeWarnings raised, as texts."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = np.asarray(desc.func(x[:, None, :], y), dtype=np.float64)
+        out = np.asarray(desc.func(PairTerms(x[:, None, :], y)), dtype=np.float64)
     return out.view(np.int64), [str(w.message) for w in caught
                                 if issubclass(w.category, RuntimeWarning)]
 
@@ -65,7 +66,7 @@ def test_guard_helpers_equal_their_references(case, rule, monkeypatch):
     for abbrev in list_metrics():
         desc = describe(abbrev)
         if abbrev in originals:
-            desc = dataclasses.replace(desc, func=originals[abbrev])
+            desc = dataclasses.replace(desc, func=lambda t, ref=originals[abbrev]: ref(t.x, t.y))
         bits, caught = got[abbrev]
         want_bits, want_caught = _run(desc, x, y)
         assert np.array_equal(bits, want_bits), abbrev

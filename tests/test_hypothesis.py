@@ -100,6 +100,45 @@ def test_engine_equals_the_per_query_kernel_loop(inputs):
             assert start == len(queries)
 
 
+# zero, small halves, and magnitudes from 1e-3 to 1e3 of either sign, where
+# no square, product or quotient in a kernel under- or overflows
+flag_values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, -2.5]),
+                        st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def flag_vectors(draw):
+    """A (t, n) set of vectors, with zero and constant vectors drawn often."""
+    n = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("zero", "constant", "any")))
+        if kind == "any":
+            vectors.append(draw(hnp.arrays(np.float64, n, elements=flag_values)))
+        else:
+            vectors.append(np.full(n, 0.0 if kind == "zero" else draw(flag_values)))
+    return np.array(vectors)
+
+
+@settings(max_examples=100)
+@given(flag_vectors())
+def test_registry_flags_hold_on_domain_inputs(vectors):
+    # every ordered pair of the set, each vector against itself included,
+    # with the absolute values for a metric of non-negative inputs; d(x, x)
+    # and the lower bound allow 1e-12 of rounding, as the zero-self checks do
+    # (CosD reads -2.2e-16 on some parallel pairs)
+    for abbrev in list_metrics():
+        desc = describe(abbrev)
+        inputs = np.abs(vectors) if desc.requires_nonneg_inputs else vectors
+        d = pairwise(desc, inputs, inputs)
+        if desc.symmetric:
+            assert np.array_equal(d, d.T), abbrev
+        if desc.zero_self:
+            assert np.all(np.abs(np.diag(d)) <= 1e-12), abbrev
+        if desc.nonneg_output:
+            assert np.all(d >= -1e-12), abbrev
+
+
 # names of any text but lone surrogates (which UTF-8 cannot encode), with the
 # characters a CSV must quote or refuse drawn often
 record_names = st.text(st.one_of(st.sampled_from(',"\r\n\0 \t'),

@@ -145,7 +145,7 @@ def test_distance_evaluation_count(monkeypatch):
 
     counting = type(desc)(
         abbrev="ED*", name="counting", family=desc.family,
-        func=lambda x, y: (count(x, y), desc.func(x, y))[1],
+        func=lambda t: (count(t.x, t.y), desc.func(t))[1],
         full_metric=True)
     feats = np.random.default_rng(7).uniform(0, 1, size=(66, 4))
     labels = np.zeros(66, dtype=np.int64)

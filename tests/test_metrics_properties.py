@@ -7,9 +7,18 @@ import pytest
 
 from distbench import describe, evaluate, list_metrics, pairwise
 from distbench.metrics import kernels
+from distbench.metrics.kernels import PairTerms
 
 N_PAIRS = 1000
 DIM = 6
+
+# Measures whose flags are false somewhere on the declared domain but that
+# these positive random inputs still check, so no check is lost: each is
+# non-negative on non-negative inputs, and negative on some negative ones
+NONNEG_ON_NONNEG_INPUTS = ("SD", "SoD", "KD", "NCSD", "PCSD", "SquD", "PSCSD", "ASCSD",
+                           "VWHD", "VSDF2", "VSDF3", "MSCD", "MiSCSD", "MotD")
+# and each gives d(x, x) = 0 for x neither zero nor (for the Pearson measures) constant
+ZERO_SELF_ON_VARYING_INPUTS = ("CosD", "DicD", "PeaD", "CorD", "SPeaD")
 
 
 def _pairs(seed, n=N_PAIRS, dim=DIM, low=0.0, high=10.0):
@@ -19,7 +28,7 @@ def _pairs(seed, n=N_PAIRS, dim=DIM, low=0.0, high=10.0):
 
 
 def _batch(abbrev, x, y):
-    return np.asarray(describe(abbrev).func(x, y), dtype=np.float64)
+    return np.asarray(describe(abbrev).func(PairTerms(x, y)), dtype=np.float64)
 
 
 @pytest.mark.parametrize("abbrev", list_metrics())
@@ -45,7 +54,7 @@ def test_asymmetric_metrics_actually_differ(abbrev):
 @pytest.mark.parametrize("abbrev", list_metrics())
 def test_zero_self(abbrev):
     desc = describe(abbrev)
-    if not desc.zero_self:
+    if not (desc.zero_self or abbrev in ZERO_SELF_ON_VARYING_INPUTS):
         return
     x, _ = _pairs(seed=13)
     assert np.all(np.abs(_batch(abbrev, x, x)) <= 1e-12), abbrev
@@ -54,10 +63,25 @@ def test_zero_self(abbrev):
 @pytest.mark.parametrize("abbrev", list_metrics())
 def test_nonneg_output(abbrev):
     desc = describe(abbrev)
-    if not desc.nonneg_output:
+    if not (desc.nonneg_output or abbrev in NONNEG_ON_NONNEG_INPUTS):
         return
     x, y = _pairs(seed=14)
     assert np.all(_batch(abbrev, x, y) >= 0.0), abbrev
+
+
+@pytest.mark.parametrize("abbrev", NONNEG_ON_NONNEG_INPUTS)
+def test_negative_on_some_negative_inputs(abbrev):
+    assert not describe(abbrev).nonneg_output
+    x, y = _pairs(seed=21, n=200, low=-2.0, high=2.0)
+    assert np.min(_batch(abbrev, x, y)) < 0.0, abbrev
+
+
+@pytest.mark.parametrize("abbrev", ZERO_SELF_ON_VARYING_INPUTS)
+def test_not_zero_on_the_zero_vector_against_itself(abbrev):
+    assert not describe(abbrev).zero_self
+    assert evaluate(abbrev, [0.0, 0.0], [0.0, 0.0]) in (0.5, 1.0)
+    if abbrev in ("PeaD", "CorD", "SPeaD"):   # zero variance maps to r = 0
+        assert evaluate(abbrev, [1.0, 1.0], [1.0, 1.0]) in (0.5, 1.0)
 
 
 @pytest.mark.parametrize("abbrev", list_metrics())
@@ -137,14 +161,14 @@ def test_hassanat_bound():
         values = _batch("HasD", x, y)
         assert np.all(values >= 0.0)
         assert np.all(values < DIM)
-    per_dim = kernels.hassanat(np.array([0.0]), np.array([1e12]))
+    per_dim = kernels.hassanat(PairTerms(np.array([0.0]), np.array([1e12])))
     assert 0.0 <= per_dim < 1.0
 
 
 def test_hassanat_term_rounds_to_one_without_a_warning():
     # the exact term is below 1 but rounds to 1.0; at +-1e308 the shifted
     # maximum overflows to inf, which gives that same 1.0
-    assert kernels.hassanat(np.array([0.0]), np.array([1e20])) == 1.0
+    assert kernels.hassanat(PairTerms(np.array([0.0]), np.array([1e20]))) == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluate("HasD", [-1e308], [1e308]) == 1.0
