@@ -383,12 +383,12 @@ def compare_to_reference(records: list[RunRecord], reference: str,
         raise ConfigError(f"no records for reference metric {reference!r}")
     if others is None:
         others = [m for m in sorted(present) if m != reference]
-    else:
-        _check_metrics(tuple(others))
+    if not others:
+        raise ConfigError(f"no metrics to compare with the reference {reference!r}")
+    _check_metrics(tuple(others))
     test = wilcoxon_signed_rank if signed_rank else wilcoxon_rank_sum
     rows = []
     for other in others:
-        describe(other)
         if other not in present:
             raise ConfigError(f"no records for metric {other!r}")
         p_values = {}

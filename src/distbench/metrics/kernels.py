@@ -24,15 +24,15 @@ order against the installed numpy and falls back to ``np.sum`` on a
 transposed copy if they disagree.
 
 A PairTerms computes each elementwise term (x - y, min(x, y), ...) and
-each shared core once, so a registry.Cell that evaluates every metric
-of a query block on one PairTerms computes each once per block.
-``hausdorff`` alone reads the natural ``t.x`` and ``t.y``.
+each shared core once per query block of a registry.Cell, and each term
+of y alone (ROW_TERMS) once per cell, in the store its blocks share.
 
 Division by zero and logs of non-positive arguments follow one rule: a
 term whose numerator (or log coefficient) is zero contributes 0, and
 otherwise the zero denominator or non-positive log argument is replaced
-by EPSILON. So every kernel returns a finite value for finite inputs in
-its domain.
+by EPSILON. Only exact zeros are replaced, so a denominator such as
+5e-324 can still overflow to inf; ``evaluate``, ``pairwise`` and the
+registry's Cell refuse a non-finite distance with DomainViolationError.
 """
 
 from __future__ import annotations
@@ -172,24 +172,23 @@ class PairTerms:
     ``x`` and ``y`` broadcast against each other. ``xf`` and ``yf`` are
     their C-contiguous feature-major copies: the last axis moved to the
     front after both are given the same number of axes, so a (b, 1, n)
-    block and (m, n) rows become (n, b, 1) and (n, 1, m). A caller that holds those copies already may pass
-    them. Reading ``t.diff`` and the other names in TERMS computes that
-    term once from the copies, as one contiguous feature-major array
-    such as (n, b, m); ``core(core)`` computes ``core(t)`` once.
-    Inputs, copies, terms and cores are read-only, so a kernel that
-    writes into one fails loudly instead of changing what the next
-    metric reads.
+    block and (m, n) rows become (n, b, 1) and (n, 1, m). Reading
+    ``t.diff`` and the other names in TERMS computes that term once from
+    the copies, as one contiguous feature-major array such as (n, b, m);
+    ``core(core)`` computes ``core(t)`` once, and ``row(name)`` the term
+    ``name`` of ROW_TERMS (``yf`` among them) once per store ``rows``, a
+    dict a Cell passes to the PairTerms of each block. Inputs, copies,
+    terms, cores and row terms are read-only, so a kernel that writes into
+    one fails loudly instead of changing what the next metric reads.
     """
 
-    def __init__(self, x, y, xf=None, yf=None):
+    def __init__(self, x, y, rows=None):
         self.x = x
         self.y = y
-        if xf is None or yf is None:
-            ndim = max(np.ndim(x), np.ndim(y))
-            xf, yf = _feature_major(x, ndim), _feature_major(y, ndim)
-        self.xf = _frozen(xf)
-        self.yf = _frozen(yf)
         self._cores: dict = {}
+        self._rows: dict = {} if rows is None else rows
+        self.xf = _frozen(_feature_major(x, max(np.ndim(x), np.ndim(y))))
+        self.yf = self.row("yf")
 
     def __getattr__(self, name):   # reached only for a term not yet computed
         try:
@@ -207,6 +206,13 @@ class PairTerms:
             value = self._cores[core] = _frozen(core(self))
         return value
 
+    def row(self, name):
+        """The value of the row term ``name``, computed once per store."""
+        value = self._rows.get(name)
+        if value is None:
+            value = self._rows[name] = _frozen(ROW_TERMS[name](self))
+        return value
+
 
 # The shared pair terms, by attribute name: each is a function of the
 # PairTerms, computed from its feature-major copies.
@@ -219,6 +225,29 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "abs_diff": lambda t: np.abs(t.diff),
     "sq_diff": lambda t: np.square(t.diff),
     "sq_sum": lambda t: np.square(t.xf) + np.square(t.yf),
+}
+
+# The terms of y alone: functions of a PairTerms reading only ``t.y``, row
+# terms and ``t.x``'s number of axes. Hausdorff's search tables (``closed``
+# to ``run``) make -0.0 0.0, so no gap is -0.0.
+ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
+    "yf": lambda t: _feature_major(t.y, max(np.ndim(t.x), np.ndim(t.y))),
+    "square_sum": lambda t: _fsum(np.square(t.yf)),
+    "unit": lambda t: _div(t.yf, np.sqrt(t.row("square_sum"))),      # ChoD
+    "sqrt": lambda t: np.sqrt(t.yf),                                  # SCD, MatD, HeD
+    "log": lambda t: np.log(np.where(t.yf <= 0.0, EPSILON, t.yf)),   # JefD
+    "xlogx": lambda t: _xlog(t.yf, t.yf),                             # JDD
+    "centred": lambda t: t.yf - _fsum(t.yf) / len(t.yf),              # PeaD, CorD, SPeaD
+    "centred_square_sum": lambda t: _fsum(np.square(t.row("centred"))),
+    "share": lambda t: _div(t.yf, _fsum(t.yf)),                       # WIAD
+    # each (finite) row sorted between -inf and inf, the rows end to end
+    "closed": lambda t: np.sort(np.hstack((t.y + 0.0, np.full((len(t.y), 2), [-np.inf, np.inf]))),
+                                axis=1).ravel(),
+    "row_base": lambda t: np.arange(len(t.y)) * (t.y.shape[1] + 2),
+    "flat": lambda t: (t.yf + 0.0).ravel(),         # every row's j-th value, j = 0, 1, ...
+    "owner": lambda t: np.tile(np.arange(len(t.y)), t.y.shape[1]),
+    "order": lambda t: np.argsort(t.row("flat"), kind="stable"),
+    "run": lambda t: t.row("flat")[t.row("order")],   # the values in one ascending run
 }
 
 
@@ -266,9 +295,14 @@ def inner_product(t):
     return _fsum(t.prod)
 
 
+def x_square_sum(t):
+    """Sum of the squares of x; y's is ``t.row("square_sum")``."""
+    return _fsum(np.square(t.xf))
+
+
 def squared_chord_sum(t):
     """Sum of squared differences of component square roots."""
-    return _fsum(np.square(np.sqrt(t.xf) - np.sqrt(t.yf)))
+    return _fsum(np.square(np.sqrt(t.xf) - t.row("sqrt")))
 
 
 def squared_chi2_sum(t):
@@ -302,11 +336,9 @@ def pearson_r(t):
 
     Each mean is the sum over the count, which is how ``np.mean`` divides.
     """
-    x, y = t.xf, t.yf
-    xc = x - _fsum(x) / len(x)
-    yc = y - _fsum(y) / len(y)
-    num = _fsum(xc * yc)
-    den = np.sqrt(_fsum(np.square(xc)) * _fsum(np.square(yc)))
+    xc = t.xf - _fsum(t.xf) / len(t.xf)
+    num = _fsum(xc * t.row("centred"))
+    den = np.sqrt(_fsum(np.square(xc)) * t.row("centred_square_sum"))
     r = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
     return np.clip(r, -1.0, 1.0)
 
@@ -332,10 +364,8 @@ def chord(t):
     vectors, which equals sqrt(2 - 2 cos) without the cancellation that
     form suffers near identical vectors.
     """
-    x, y = t.xf, t.yf
-    xn = _div(x, np.sqrt(_fsum(np.square(x))))
-    yn = _div(y, np.sqrt(_fsum(np.square(y))))
-    return np.sqrt(_fsum(np.square(xn - yn)))
+    xn = _div(t.xf, np.sqrt(t.core(x_square_sum)))
+    return np.sqrt(_fsum(np.square(xn - t.row("unit"))))
 
 
 # Squared chord family (non-negative inputs only)
@@ -381,9 +411,7 @@ def jeffreys(t):
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
-    x, y = t.xf, t.yf
-    term = t.diff * (np.log(np.where(x <= 0.0, EPSILON, x))
-                     - np.log(np.where(y <= 0.0, EPSILON, y)))
+    term = t.diff * (np.log(np.where(t.xf <= 0.0, EPSILON, t.xf)) - t.row("log"))
     np.copyto(term, 0.0, where=t.diff == 0.0)
     return _fsum(term)
 
@@ -397,7 +425,7 @@ def jensen_difference(t):
     """Half the summed Jensen differences of the entropy function."""
     m = 0.5 * t.sum
     # x ln x with the 0 ln 0 = 0 convention, for x, y and their midpoint
-    terms = 0.5 * (_xlog(t.xf, t.xf) + _xlog(t.yf, t.yf)) - _xlog(m, m)
+    terms = 0.5 * (_xlog(t.xf, t.xf) + t.row("xlogx")) - _xlog(m, m)
     return 0.5 * _fsum(terms)
 
 
@@ -445,12 +473,57 @@ def hamming(t):
 
 
 def hausdorff(t):
-    """Hausdorff distance treating each vector as a set of scalars."""
+    """Hausdorff distance treating each vector as a set of scalars.
+
+    A Cell's layout, a (b, 1, n) block against (m, n) rows, takes
+    ``_sorted_hausdorff``, or nan throughout for a non-finite input, which
+    the registry refuses; every other layout (a single pair, one (n,) query
+    against rows, batches of pairs) takes the (..., n, n) difference tensor.
+    """
     x, y = t.x, t.y
+    if np.ndim(x) == 3 and np.shape(x)[1] == 1 and np.ndim(y) == 2:
+        finite = np.isfinite(x).all() and np.isfinite(y).all()
+        return _sorted_hausdorff(x[:, 0, :], t) if finite else np.full((len(x), len(y)), np.nan)
     diff = np.abs(x[..., :, None] - y[..., None, :])   # (..., n_x, n_y)
     h_xy = np.max(np.min(diff, axis=-1), axis=-1)
     h_yx = np.max(np.min(diff, axis=-2), axis=-1)
     return np.maximum(h_xy, h_yx)
+
+
+def _sorted_hausdorff(q, t):
+    """``hausdorff`` of finite (b, n) queries against finite (m, n) rows ``t.y``, bit for bit.
+
+    The nearest value to v in a set is the next value below or above v,
+    because rounding v - y is monotone in y; each gap is taken in the
+    order that makes it non-negative, which equals ``abs`` bit for bit.
+    Every training value is placed among the distinct query values with
+    one ``searchsorted``, and both directed distances follow by counting
+    and running extrema, each a maximum over a feature axis laid out
+    ahead of the rows; a maximum of finite gaps does not depend on order.
+    """
+    b, n = q.shape
+    m = len(t.y)
+    closed, flat = t.row("closed"), t.row("flat")
+    u, slot = np.unique(q + 0.0, return_inverse=True)   # distinct query values, -0.0 as 0.0
+    slot = slot.reshape(b, n)
+    k = len(u)
+    below = np.empty_like(t.row("order"))   # how many u lie below each value, in flat order
+    below[t.row("order")] = np.searchsorted(u, t.row("run"))
+    # query -> row: the last value of each sorted row that is <= each u, as (k, m)
+    counts = np.bincount(below * m + t.row("owner"), minlength=(k + 1) * m)
+    last = t.row("row_base") + np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
+    gaps = np.minimum(closed[last + 1] - u[:, None], u[:, None] - closed[last])
+    to_rows = np.maximum.reduce(gaps[slot.T], axis=0)
+    # row -> query: each query's nearest values below and at-or-above every training value
+    mine = np.zeros((b, k), dtype=bool)
+    mine[np.arange(b)[:, None], slot] = True
+    edge = np.full((b, 1), np.inf)
+    lower = np.hstack((-edge, np.maximum.accumulate(np.where(mine, u, -np.inf), axis=1)))
+    upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
+                       edge))
+    gaps = np.minimum(upper[:, below] - flat, flat - lower[:, below])
+    to_query = np.maximum.reduce(gaps.reshape(b, n, m), axis=1)
+    return np.maximum(to_rows, to_query)
 
 
 def chi2_statistic(t):
@@ -461,8 +534,7 @@ def chi2_statistic(t):
 
 def whittaker(t):
     """Half the L1 distance between the sum-normalized vectors."""
-    x, y = t.xf, t.yf
-    return 0.5 * _fsum(np.abs(_div(x, _fsum(x)) - _div(y, _fsum(y))))
+    return 0.5 * _fsum(np.abs(_div(t.xf, _fsum(t.xf)) - t.row("share")))
 
 
 def meehl(t):

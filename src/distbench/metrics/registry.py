@@ -114,24 +114,17 @@ def _half_of_one_minus(values, t):
     return (1.0 - values[0]) / 2.0
 
 
-def _squares(t):
-    """The sums of squares of x and of y, over the feature-major copies."""
-    return kernels._fsum(np.square(t.xf)), kernels._fsum(np.square(t.yf))
-
-
+# values[-1] of these is x's sum of squares; y's is a row term
 def _cosine(values, t):
-    xx, yy = _squares(t)
-    return 1.0 - _div(values[0], np.sqrt(xx) * np.sqrt(yy))
+    return 1.0 - _div(values[0], np.sqrt(values[-1]) * np.sqrt(t.row("square_sum")))
 
 
 def _dice(values, t):
-    xx, yy = _squares(t)
-    return 1.0 - _div(2.0 * values[0], xx + yy)
+    return 1.0 - _div(2.0 * values[0], values[-1] + t.row("square_sum"))
 
 
 def _jaccard(values, t):
-    xx, yy = _squares(t)
-    return _div(values[0], (xx + yy) - values[1])
+    return _div(values[0], (values[-1] + t.row("square_sum")) - values[1])
 
 
 def _squared_pearson(values, t):
@@ -192,11 +185,11 @@ def _build_registry() -> dict[str, MetricDescriptor]:
                          full_metric=True),
         # Inner product
         MetricDescriptor("JacD", "Jaccard", F.INNER_PRODUCT,
-                         C((k.sq_diff_sum, k.inner_product), _jaccard)),
-        MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT, C((k.inner_product,), _cosine),
-                         zero_self=False),
-        MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT, C((k.inner_product,), _dice),
-                         zero_self=False),
+                         C((k.sq_diff_sum, k.inner_product, k.x_square_sum), _jaccard)),
+        MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT,
+                         C((k.inner_product, k.x_square_sum), _cosine), zero_self=False),
+        MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT,
+                         C((k.inner_product, k.x_square_sum), _dice), zero_self=False),
         MetricDescriptor("ChoD", "Chord", F.INNER_PRODUCT, k.chord),
         # Squared chord
         MetricDescriptor("BD", "Bhattacharyya", F.SQUARED_CHORD, k.bhattacharyya,
@@ -310,6 +303,13 @@ def _domain_error(desc: MetricDescriptor) -> DomainViolationError:
     return DomainViolationError(f"{desc.abbrev} requires non-negative inputs")
 
 
+def _finite(desc: MetricDescriptor, out):
+    """``out``, if every distance in it is finite: the one finiteness rule."""
+    if not np.isfinite(out).all():
+        raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
+    return out
+
+
 def evaluate(metric: str | MetricDescriptor, x, y) -> float:
     """Dissimilarity between two equal-length vectors of at least one feature."""
     desc = _resolve(metric)
@@ -320,7 +320,7 @@ def evaluate(metric: str | MetricDescriptor, x, y) -> float:
                                      f"features, got {x.shape} and {y.shape}")
     if desc.requires_nonneg_inputs and ((x < 0.0).any() or (y < 0.0).any()):
         raise _domain_error(desc)
-    return float(desc.func(PairTerms(x, y)))
+    return float(_finite(desc, desc.func(PairTerms(x, y))))
 
 
 def similarity(metric: str | MetricDescriptor, x, y) -> float:
@@ -335,62 +335,6 @@ def similarity(metric: str | MetricDescriptor, x, y) -> float:
 BLOCK_ELEMENTS = 2 ** 15
 
 
-def _hausdorff_blocks(queries: np.ndarray, rows: np.ndarray):
-    """A block function equal, bit for bit, to ``kernels.hausdorff`` per query.
-
-    It never builds the (m, n, n) difference tensor. The nearest value to
-    v in a set is the next value below or above v, because rounding v - y
-    is monotone in y; each gap is taken in the order that makes it
-    non-negative, which equals ``abs`` bit for bit. Per block, every
-    training value is placed among the block's distinct query values
-    with one ``searchsorted``, and both directed distances follow from
-    that placement by counting and running extrema.
-    """
-    if not (np.all(np.isfinite(queries)) and np.all(np.isfinite(rows))):
-        # the reference kernel gives inf or nan for any non-finite input
-        raise DomainViolationError("HauD produced a non-finite distance")
-    queries, rows = queries + 0.0, rows + 0.0  # -0.0 becomes 0.0, so no gap is -0.0
-    m, n = rows.shape
-    inf = np.full((m, 1), np.inf)
-    closed = np.hstack((-inf, np.sort(rows, axis=1), inf)).ravel()  # sorted rows between ±inf
-    row_base = np.arange(m) * (n + 2)
-    flat = rows.T.ravel()                    # feature-major: every row's j-th value, j = 0, 1, ...
-    owner = np.tile(np.arange(m), n)
-    # training values in one ascending run, so each block's search walks forward
-    order = np.argsort(flat, kind="stable")
-    run = flat[order]
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-
-    # Both directed distances take their maxima over a feature axis laid
-    # out ahead of the training rows, so each step compares m gaps at once;
-    # a maximum of these finite, non-negative gaps does not depend on order.
-    def block(start: int, stop: int) -> np.ndarray:
-        q = queries[start:stop]
-        b = len(q)
-        u, slot = np.unique(q, return_inverse=True)   # the block's distinct query values
-        slot = slot.reshape(b, n)
-        k = len(u)
-        below = np.searchsorted(u, run)[place]        # how many u lie below each training value
-        # query -> row: the last value of each sorted row that is <= each u, as (k, m)
-        counts = np.bincount(below * m + owner, minlength=(k + 1) * m)
-        last = row_base + np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
-        gaps = np.minimum(closed[last + 1] - u[:, None], u[:, None] - closed[last])
-        to_rows = np.maximum.reduce(gaps[slot.T], axis=0)
-        # row -> query: each query's nearest values below and at-or-above every training value
-        mine = np.zeros((b, k), dtype=bool)
-        mine[np.arange(b)[:, None], slot] = True
-        edge = np.full((b, 1), np.inf)
-        lower = np.hstack((-edge, np.maximum.accumulate(np.where(mine, u, -np.inf), axis=1)))
-        upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
-                           edge))
-        gaps = np.minimum(upper[:, below] - flat, flat - lower[:, below])
-        to_query = np.maximum.reduce(gaps.reshape(b, n, m), axis=1)
-        return np.maximum(to_rows, to_query)
-
-    return block
-
-
 class Cell:
     """One query matrix scored against one training matrix by one or more metrics.
 
@@ -401,22 +345,21 @@ class Cell:
     DimensionMismatchError. ``blocks()`` yields the queries in blocks
     sized from BLOCK_ELEMENTS (no queries make one empty block, which
     still meets every check). While a block is current,
-    ``pairwise(metric, block, rows, cell)`` finishes a metric from the
-    block's PairTerms, so each pair term and core is computed once per
-    block for every metric of the cell, from feature-major copies taken
-    once for the rows and once per block.
-    Terms, cores and the block's inputs are read-only views, dropped when
-    the next block starts.
+    ``pairwise(metric, block, rows, cell)`` is the metric's ``func`` on
+    the block's PairTerms, so each pair term and core is computed once per
+    block, and each term of the rows alone (their feature-major copy and
+    Hausdorff's sorted rows among them) once per cell, in the one store of
+    row terms every block's PairTerms shares. Terms, cores and the block's
+    inputs are read-only views, dropped when the next block starts.
 
-    The cell decides the domain, reading the signs of its inputs only if a
-    metric requires non-negative inputs. HauD reads no pair term: at its
-    first block the cell computes and keeps its whole (t, m) matrix, and
-    each block takes its rows of it. ``skips`` maps a metric to its reason:
-    a domain that excludes the inputs, or non-finite distances in any
-    block. ``live()`` lists the metrics not skipped, in the order given.
-    Every distance is bitwise equal to the kernel called on one query.
-    ``pairwise`` refuses a cell for any arrays other than its current
-    block and its training rows.
+    The cell names no metric. It decides the domain, reading the signs of
+    its inputs only if a metric requires non-negative inputs, and refuses
+    a non-finite distance by the rule ``evaluate`` follows. ``skips`` maps
+    a metric to its reason: a domain that excludes the inputs, or
+    non-finite distances in any block. ``live()`` lists the metrics not
+    skipped, in the order given. Every distance is bitwise equal to the
+    kernel called on one query. ``pairwise`` refuses a cell for any
+    arrays other than its current block and its training rows.
     """
 
     def __init__(self, queries, rows, metrics):
@@ -430,11 +373,8 @@ class Cell:
         self.skips: dict[str, str] = {desc.abbrev: "negative features outside metric domain"
                                       for desc in self.metrics
                                       if desc.requires_nonneg_inputs and self._negative}
-        step = max(1, BLOCK_ELEMENTS // max(self.rows.size, 1))
-        self._slices = [slice(start, start + step)
-                        for start in range(0, max(len(self.queries), 1), step)]
         self.block: np.ndarray | None = None
-        self._at = self._terms = self._hausdorff = None
+        self._terms = None
 
     @cached_property
     def _negative(self) -> bool:
@@ -447,12 +387,12 @@ class Cell:
     def blocks(self):
         """Yield each block of query rows; it is the current block until the next."""
         rows = _frozen(self.rows.view())
-        rows_f = np.ascontiguousarray(self.rows.T)[:, None, :]   # (n, 1, m)
+        store: dict = {}   # the row terms, the (n, 1, m) copy of the rows first
+        step = max(1, BLOCK_ELEMENTS // max(self.rows.size, 1))
         try:
-            for at in self._slices:
-                self._at, self.block = at, self.queries[at]
-                block_f = np.ascontiguousarray(self.block.T)[:, :, None]   # (n, b, 1)
-                self._terms = PairTerms(_frozen(self.block[:, None, :]), rows, block_f, rows_f)
+            for start in range(0, max(len(self.queries), 1), step):
+                self.block = self.queries[start:start + step]
+                self._terms = PairTerms(_frozen(self.block[:, None, :]), rows, store)
                 yield self.block
         finally:
             self.block = self._terms = None
@@ -463,22 +403,10 @@ class Cell:
         try:
             if desc.requires_nonneg_inputs and self._negative:
                 raise _domain_error(desc)
-            if desc.func is kernels.hausdorff:
-                if self._hausdorff is None:   # kept only once every block of it is computed
-                    block = _hausdorff_blocks(self.queries, self.rows)
-                    out = np.empty((len(self.queries), len(self.rows)), dtype=np.float64)
-                    for at in self._slices:
-                        out[at] = block(at.start, at.stop)
-                    self._hausdorff = out
-                out = self._hausdorff[self._at]
-            else:
-                out = desc.func(self._terms)
-            if not np.isfinite(out).all():
-                raise DomainViolationError(f"{desc.abbrev} produced a non-finite distance")
+            return _finite(desc, desc.func(self._terms))
         except DomainViolationError as exc:
             self.skips.setdefault(desc.abbrev, str(exc))
             raise
-        return out
 
 
 def pairwise(metric: str | MetricDescriptor, x, rows, cell: Cell | None = None) -> np.ndarray:
@@ -504,7 +432,5 @@ def pairwise(metric: str | MetricDescriptor, x, rows, cell: Cell | None = None) 
     except DimensionMismatchError:
         raise DimensionMismatchError(f"expected (n,) or (t, n) against (m, n) with n >= 1, "
                                      f"got {x.shape} and {np.shape(rows)}") from None
-    out = np.empty((len(cell.queries), len(cell.rows)), dtype=np.float64)
-    for block in cell.blocks():
-        out[cell._at] = cell._distances(desc, block, cell.rows)
+    out = np.concatenate([cell._distances(desc, block, cell.rows) for block in cell.blocks()])
     return out if x.ndim == 2 else out[0]

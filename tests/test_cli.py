@@ -195,6 +195,19 @@ def test_an_empty_metric_list_exits_nonzero(workspace, capsys, listed):
     assert "error: no metrics" in captured.err and not captured.out
 
 
+def test_compare_with_only_the_reference_recorded_exits_nonzero(tmp_path, capsys):
+    ds = make_blobs("one", 24, 3, (0.6, 0.4), spread=1.0, seed=0)
+    cfg = write_config(tmp_path / "bench.cfg", [write_dataset_csv(ds, tmp_path / "one.csv")],
+                       metrics="ED", repetitions=2)
+    assert main(["clean", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--records", str(tmp_path / "one" / "records.csv"),
+                 "--reference", "ED"]) == 1
+    captured = capsys.readouterr()
+    assert "error: no metrics to compare with the reference 'ED'" in captured.err
+    assert not captured.out
+
+
 def test_report_subcommand_round_trips(workspace):
     # markdown rewrites each table file a phase wrote, csv its records file
     tmp_path, cfg = workspace

@@ -85,9 +85,11 @@ def test_non_finite_distance_raises_naming_the_metric():
         with pytest.raises(DomainViolationError, match="ED"):
             pairwise("ED", query, rows)
     # the reference Hausdorff kernel gives nan or inf for any non-finite input
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainViolationError, match="HauD"):
             pairwise("HauD", np.array([bad, 1.0]), np.ones((3, 2)))
+        with pytest.raises(DomainViolationError, match="HauD"):
+            pairwise("HauD", np.ones((2, 2)), np.array([[1.0, 1.0], [bad, 1.0], [1.0, 2.0]]))
 
 
 @pytest.mark.parametrize("abbrev", ("ED", "HasD", "HauD", "KLD", "CosD"))
@@ -130,15 +132,17 @@ def test_shared_core_is_computed_once_per_cell(monkeypatch):
 
 
 def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
+    # and each row term, a term of the training rows alone, once per cell
     rng = np.random.default_rng(12)
     rows = _tied_values(rng, (23, 5), negative=False)
     queries = _tied_values(rng, (10, 5), negative=False)
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 4 * rows.size)   # blocks of 4, 4 and 2
-    computed = []
-    for name, recipe in list(kernels.TERMS.items()):
-        monkeypatch.setitem(kernels.TERMS, name,
-                            lambda t, name=name, recipe=recipe: (computed.append(name),
-                                                                 recipe(t))[1])
+    computed, rows_computed = [], []
+    for terms, log in ((kernels.TERMS, computed), (kernels.ROW_TERMS, rows_computed)):
+        for name, recipe in list(terms.items()):
+            monkeypatch.setitem(terms, name,
+                                lambda t, name=name, recipe=recipe, log=log: (log.append(name),
+                                                                              recipe(t))[1])
     core = kernels.PairTerms.core   # every shared core is computed through it
 
     def counting(t, func):
@@ -159,6 +163,7 @@ def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
     assert sorted(set(computed)) == sorted(set(kernels.TERMS) | cores)
     for name in set(computed):
         assert computed.count(name) == blocks, name
+    assert sorted(rows_computed) == sorted(kernels.ROW_TERMS)   # each once, none left unread
 
 
 def _outcome(compute):

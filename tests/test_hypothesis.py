@@ -14,12 +14,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from distbench import (Cell, RunRecord, ScoreTriple, describe, list_metrics,  # noqa: E402
-                       pairwise, read_records_csv, write_records_csv)
+from distbench import (Cell, Dataset, NoiseSpec, RunRecord, ScoreTriple,  # noqa: E402
+                       describe, evaluate, inject, list_metrics, pairwise, read_records_csv,
+                       round_half_up, write_records_csv)
 from distbench.errors import ConfigError, DomainViolationError  # noqa: E402
 from distbench.metrics import kernels, registry  # noqa: E402
 
-from test_engine import _bits, _reference  # noqa: E402
+from test_engine import _bits, _outcome, _reference  # noqa: E402
 
 settings.register_profile("distbench", derandomize=True, max_examples=200, deadline=None,
                           database=None)
@@ -74,11 +75,16 @@ def _agrees(compute, want, in_domain):
 
 
 @settings(max_examples=60)
-@given(engine_inputs())
-def test_engine_equals_the_per_query_kernel_loop(inputs):
+@given(engine_inputs(), st.data())
+def test_engine_equals_the_per_query_kernel_loop(inputs, data):
     # pairwise without a cell, and every block of a cell of all metrics,
-    # under the default block budget and under blocks of two queries
+    # under the default block budget and under blocks of two queries; on
+    # sampled (query, row) pairs, evaluate gives the bits of pairwise, or
+    # both raise the same error
     queries, rows = inputs
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(queries) - 1),
+                                         st.integers(0, len(rows) - 1)),
+                               min_size=1, max_size=3, unique=True))
     metrics = [describe(abbrev) for abbrev in list_metrics()]
     negative = bool((queries < 0.0).any() or (rows < 0.0).any())
     in_domain = {desc.abbrev: not (desc.requires_nonneg_inputs and negative) for desc in metrics}
@@ -98,6 +104,15 @@ def test_engine_equals_the_per_query_kernel_loop(inputs):
                     _agrees(lambda: pairwise(desc, block, rows, cell),
                             want[desc.abbrev][at], in_domain[desc.abbrev])
             assert start == len(queries)
+        for i, j in pairs:
+            for desc in metrics:
+                got = _outcome(lambda: evaluate(desc, queries[i], rows[j]))
+                one_row = _outcome(lambda: pairwise(desc, queries[i], rows[j:j + 1]))
+                assert isinstance(got, tuple) == isinstance(one_row, tuple), (desc.abbrev, i, j)
+                if isinstance(got, tuple):
+                    assert got == one_row and got[0] is DomainViolationError, desc.abbrev
+                else:
+                    assert np.array_equal(got, one_row), (desc.abbrev, i, j)
 
 
 # zero, small halves, and magnitudes from 1e-3 to 1e3 of either sign, where
@@ -161,3 +176,37 @@ def test_records_csv_reads_back_every_name_or_writes_nothing(rows):
             return
         key = lambda r: (r.dataset, r.metric, r.noise_level, r.repetition)  # noqa: E731
         assert read_records_csv(path) == sorted(records, key=key)
+
+
+@st.composite
+def noise_cases(draw):
+    """A dataset, a noise level in (0, 1) and a seed.
+
+    Features are half-steps, often repeated, so constant attributes occur,
+    and an attribute with attr_min < attr_max spans at least 0.5: a
+    uniform draw then meets the old value with probability about 2**-52.
+    """
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    features = draw(hnp.arrays(np.float64, (m, n),
+                               elements=st.integers(-6, 6).map(lambda v: v / 2)))
+    labels = draw(hnp.arrays(np.int64, m, elements=st.integers(0, 2)))
+    level = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return (Dataset.from_arrays("generated", features, labels, ("a", "b", "c")), level,
+            draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=100)
+@given(noise_cases())
+def test_noise_corrupts_only_the_chosen_rows_within_the_attribute_bounds(case):
+    ds, level, seed = case
+    out = inject(ds, NoiseSpec(level, seed))
+    chosen = round_half_up(level * len(ds))
+    differs = np.any(out.features.view(np.int64) != ds.features.view(np.int64), axis=1)
+    # every other row and every label keep their bits
+    assert differs.sum() <= chosen
+    if np.all(ds.attr_min < ds.attr_max):
+        assert differs.sum() == chosen
+    assert np.array_equal(out.labels, ds.labels) and out.class_labels == ds.class_labels
+    assert np.all((ds.attr_min <= out.features) & (out.features <= ds.attr_max))
+    again = inject(ds, NoiseSpec(level, seed))
+    assert np.array_equal(again.features.view(np.int64), out.features.view(np.int64))

@@ -102,6 +102,26 @@ def test_domain_violation_on_negative_inputs():
         pairwise("SCD", np.empty((0, 2)), [[1.0, -2.0]])
 
 
+def test_evaluate_refuses_an_overflowed_distance_as_pairwise_does():
+    # EPSILON replaces only exact zeros: 1 / 5e-324 overflows to inf
+    x, y = [5e-324, 1.0], [1.0, 1.0]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DomainViolationError, match="VWHD produced a non-finite distance"):
+            evaluate("VWHD", x, y)
+        with pytest.raises(DomainViolationError, match="VWHD produced a non-finite distance"):
+            similarity("VWHD", x, y)
+        with pytest.raises(DomainViolationError, match="VWHD produced a non-finite distance"):
+            pairwise("VWHD", x, [y])
+
+
+def test_evaluate_refuses_a_non_finite_hausdorff_input():
+    for x in ([np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(DomainViolationError, match="HauD produced a non-finite distance"):
+            evaluate("HauD", x, [1.0, 1.0])
+        with pytest.raises(DomainViolationError, match="HauD produced a non-finite distance"):
+            evaluate("HauD", [1.0, 1.0], x)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         evaluate("ED", [1.0, 2.0], [1.0, 2.0, 3.0])
