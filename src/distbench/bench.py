@@ -10,7 +10,6 @@ so the metric is the only varying factor inside a cell.
 from __future__ import annotations
 
 import csv
-import os
 import re
 import sys
 import time
@@ -42,8 +41,6 @@ DEFAULT_NOISE_LEVELS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 # computed top list when reproducing the published noise phase.
 PUBLISHED_TOP = ("HasD", "LD", "CanD", "SCSD", "ClaD", "DivD", "WIAD",
                  "MD", "AvgD", "CosD", "CorD", "DicD", "ED")
-
-WORKERS_ENV_VAR = "BENCH_WORKERS"
 
 SCORE_KINDS = ("accuracy", "recall", "precision")
 
@@ -221,19 +218,6 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
     return records, skips
 
 
-def _resolve_workers(cfg: ExperimentConfig) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR}={env!r} is not an integer") from None
-        if workers < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be positive")
-        return workers
-    return cfg.workers
-
-
 def _run_tasks(tasks: list[tuple], workers: int) -> tuple[list[RunRecord], list[SkipRecord]]:
     """Records of every cell in task order, and each distinct skip once."""
     if workers > 1 and len(tasks) > 1:
@@ -318,7 +302,7 @@ def _clean_phase(cfg: ExperimentConfig, datasets: list[Dataset]) -> CleanResult:
     tasks = [(ds, 0.0, rep, cfg.metrics, cfg)
              for ds in datasets
              for rep in range(cfg.repetitions)]
-    records, skips = _run_tasks(tasks, _resolve_workers(cfg))
+    records, skips = _run_tasks(tasks, cfg.workers)
     return CleanResult(records, skips, summarize(records))
 
 
@@ -348,7 +332,6 @@ def run_noise_phase(cfg: ExperimentConfig,
         clean = _clean_phase(cfg, datasets)
         top_metrics = top_metrics_from_summary(clean.summary, cfg.top_n)
     levels = cfg.noise_levels or DEFAULT_NOISE_LEVELS
-    workers = _resolve_workers(cfg)
 
     tasks = []
     for ds in datasets:
@@ -356,7 +339,7 @@ def run_noise_phase(cfg: ExperimentConfig,
             noisy = inject(ds, NoiseSpec(level, _noise_seed(cfg.master_seed, ds.name, level)))
             for rep in range(cfg.repetitions):
                 tasks.append((noisy, float(level), rep, top_metrics, cfg))
-    records, skips = _run_tasks(tasks, workers)
+    records, skips = _run_tasks(tasks, cfg.workers)
     return NoiseResult(records, skips, top_metrics, clean)
 
 

@@ -5,6 +5,7 @@ and the Wilcoxon rank-sum comparison used to contrast two metrics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,27 +29,6 @@ class ConfusionMatrix:
         if np.any(counts < 0):
             raise ValueError("confusion matrix counts must be non-negative")
 
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def true_positives(self) -> np.ndarray:
-        return np.diag(self.counts)
-
-    def false_positives(self) -> np.ndarray:
-        return self.counts.sum(axis=0) - self.true_positives()
-
-    def false_negatives(self) -> np.ndarray:
-        return self.counts.sum(axis=1) - self.true_positives()
-
-    def true_negatives(self) -> np.ndarray:
-        return (self.total - self.true_positives()
-                - self.false_positives() - self.false_negatives())
-
 
 def confusion(actual: Sequence[int], predicted: Sequence[int],
               n_classes: int) -> ConfusionMatrix:
@@ -67,7 +47,7 @@ def confusion(actual: Sequence[int], predicted: Sequence[int],
 
 def accuracy(cm: ConfusionMatrix) -> float:
     """Fraction of correctly classified examples."""
-    return float(np.trace(cm.counts) / cm.total)
+    return float(np.trace(cm.counts) / cm.counts.sum())
 
 
 def _macro(tp: np.ndarray, denom: np.ndarray) -> float:
@@ -77,15 +57,13 @@ def _macro(tp: np.ndarray, denom: np.ndarray) -> float:
 
 
 def macro_precision(cm: ConfusionMatrix) -> float:
-    """Unweighted mean over classes of TP / (TP + FP)."""
-    tp = cm.true_positives()
-    return _macro(tp, tp + cm.false_positives())
+    """Unweighted mean over classes of TP / (TP + FP): the diagonal over column sums."""
+    return _macro(np.diag(cm.counts), cm.counts.sum(axis=0))
 
 
 def macro_recall(cm: ConfusionMatrix) -> float:
-    """Unweighted mean over classes of TP / (TP + FN)."""
-    tp = cm.true_positives()
-    return _macro(tp, tp + cm.false_negatives())
+    """Unweighted mean over classes of TP / (TP + FN): the diagonal over row sums."""
+    return _macro(np.diag(cm.counts), cm.counts.sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -123,14 +101,9 @@ def _rankdata(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _tie_correction(values: Sequence[float]) -> float:
-    n = len(values)
-    if n < 2:
-        return 1.0
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return 1.0 - sum(t ** 3 - t for t in counts.values()) / (n ** 3 - n)
+def _tie_sum(values: Sequence[float]) -> int:
+    """Sum of t**3 - t over the sizes t of the groups of equal values."""
+    return sum(t ** 3 - t for t in Counter(values).values())
 
 
 def _normal_two_sided(z: float) -> float:
@@ -161,51 +134,46 @@ def _exact_rank_sum_pvalue(t_obs: int, n1: int, n2: int) -> float:
     return min(1.0, 2.0 * min(low, high) / total)
 
 
-_EXACT_LIMIT = 20  # pooled size up to which the untied null is enumerated
+def _normal_rank_sum_pvalue(r1: float, n1: int, n2: int, ties: int) -> float:
+    """Two-sided p for a rank sum ``r1`` of sample one by the normal approximation.
 
-
-def wilcoxon_rank_sum(sample_a: Sequence[float], sample_b: Sequence[float],
-                      method: str = "auto") -> float:
-    """Two-sided Mann-Whitney/Wilcoxon rank-sum p-value.
-
-    ``method`` is one of:
-
-    - ``"exact"``: enumerate the untied null distribution of the rank sum.
-    - ``"asymptotic"``: normal approximation with tie correction and
-      continuity correction.
-    - ``"auto"`` (default): exact when there are no ties and the pooled
-      size is at most 20, asymptotic otherwise.
-
-    Degenerate pools (every value identical) return p = 1.0.
+    ``ties`` is the pool's sum of t**3 - t over its groups of tied values;
+    the variance is corrected for it, and the statistic for continuity. A
+    pool of one repeated value gives p = 1.0.
     """
-    a = [float(v) for v in sample_a]
-    b = [float(v) for v in sample_b]
-    if not a or not b:
-        raise LengthMismatchError("both samples must be non-empty")
-    if method not in ("auto", "exact", "asymptotic"):
-        raise ValueError(f"unknown method {method!r}")
-
-    pooled = a + b
-    n1, n2, n = len(a), len(b), len(pooled)
-    has_ties = len(set(pooled)) < n
-
-    if method == "exact" and has_ties:
-        raise ValueError("exact method requires samples without ties")
-    if method == "exact" or (method == "auto" and not has_ties and n <= _EXACT_LIMIT):
-        ranks = _rankdata(pooled)
-        t_obs = int(round(sum(ranks[:n1])))
-        return _exact_rank_sum_pvalue(t_obs, n1, n2)
-
-    ranks = _rankdata(pooled)
-    r1 = sum(ranks[:n1])
+    n = n1 + n2
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
-    tie = _tie_correction(pooled)
+    tie = 1.0 - ties / (n ** 3 - n)
     if tie == 0.0:
         return 1.0
     sd = math.sqrt(tie * n1 * n2 * (n + 1) / 12.0)
     z = (max(u1, u2) - n1 * n2 / 2.0 - 0.5) / sd
     return _normal_two_sided(z)
+
+
+_EXACT_LIMIT = 20  # pooled size up to which the untied null is enumerated
+
+
+def wilcoxon_rank_sum(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
+    """Two-sided Mann-Whitney/Wilcoxon rank-sum p-value.
+
+    The inputs choose the method: an untied pool of at most 20 values
+    enumerates the null distribution of the rank sum exactly; any other
+    pool takes the normal approximation with tie and continuity
+    corrections. Degenerate pools (every value identical) return p = 1.0.
+    """
+    a = [float(v) for v in sample_a]
+    b = [float(v) for v in sample_b]
+    if not a or not b:
+        raise LengthMismatchError("both samples must be non-empty")
+    pooled = a + b
+    n1, n2 = len(a), len(b)
+    r1 = sum(_rankdata(pooled)[:n1])
+    ties = _tie_sum(pooled)
+    if not ties and len(pooled) <= _EXACT_LIMIT:
+        return _exact_rank_sum_pvalue(int(round(r1)), n1, n2)
+    return _normal_rank_sum_pvalue(r1, n1, n2, ties)
 
 
 def wilcoxon_signed_rank(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -226,13 +194,8 @@ def wilcoxon_signed_rank(sample_a: Sequence[float], sample_b: Sequence[float]) -
     ranks = _rankdata(magnitudes)
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
     mu = n * (n + 1) / 4.0
-    counts: dict[float, int] = {}
-    for v in magnitudes:
-        counts[v] = counts.get(v, 0) + 1
-    tie_term = sum(t ** 3 - t for t in counts.values()) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var <= 0.0:
-        return 1.0
+    # the tie sum is at most n**3 - n, so var >= n(n + 1)(3n + 3) / 48 > 0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(magnitudes) / 48.0
     z = (abs(w_plus - mu) - 0.5) / math.sqrt(var)
     return _normal_two_sided(z)
 
@@ -246,9 +209,11 @@ class RankRow:
     mean: float
 
 
-def rank_distances(scores: Mapping[str, Sequence[float]],
-                   tie_tol: float = 1e-9) -> list[RankRow]:
-    """Order metrics by descending mean score; near-equal means share a rank.
+_RANK_TIE_TOL = 1e-9  # means this close share a rank
+
+
+def rank_distances(scores: Mapping[str, Sequence[float]]) -> list[RankRow]:
+    """Order metrics by descending mean score; means within 1e-9 share a rank.
 
     Competition ranking: after a shared rank the next distinct mean gets
     its positional rank (1, 2, 2, 4, ...).
@@ -262,7 +227,7 @@ def rank_distances(scores: Mapping[str, Sequence[float]],
     ordered = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
     rows: list[RankRow] = []
     for pos, (metric, mean) in enumerate(ordered):
-        if rows and abs(mean - rows[-1].mean) <= tie_tol:
+        if rows and abs(mean - rows[-1].mean) <= _RANK_TIE_TOL:
             rank = rows[-1].rank
         else:
             rank = pos + 1

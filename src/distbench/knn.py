@@ -46,9 +46,6 @@ class KnnModel:
         desc = describe(metric) if isinstance(metric, str) else metric
         return cls(ds.features, ds.labels, desc, k)
 
-    def __len__(self) -> int:
-        return len(self.features)
-
 
 def _distances(model: KnnModel, queries, ndim: int,
                cell: Cell | None = None) -> np.ndarray:
@@ -69,13 +66,7 @@ def _vote(model: KnnModel, dist: np.ndarray) -> int:
     near = [int(model.labels[i]) for i in _nearest(model, dist)]
     votes = Counter(near)
     top = max(votes.values())
-    tied = {cls for cls, count in votes.items() if count == top}
-    if len(tied) == 1:
-        return tied.pop()
-    for cls in near:  # vote tie: nearest neighbor within the tied classes wins
-        if cls in tied:
-            return cls
-    raise AssertionError("unreachable: tied classes came from the neighbor list")
+    return next(cls for cls in near if votes[cls] == top)
 
 
 def neighbors(model: KnnModel, query) -> list[Neighbor]:

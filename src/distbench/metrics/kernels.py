@@ -30,9 +30,10 @@ of y alone (ROW_TERMS) once per cell, in the store its blocks share.
 Division by zero and logs of non-positive arguments follow one rule: a
 term whose numerator (or log coefficient) is zero contributes 0, and
 otherwise the zero denominator or non-positive log argument is replaced
-by EPSILON. Only exact zeros are replaced, so a denominator such as
-5e-324 can still overflow to inf; ``evaluate``, ``pairwise`` and the
-registry's Cell refuse a non-finite distance with DomainViolationError.
+by EPSILON, in ``_div`` and ``_log`` alone. Only exact zeros are
+replaced, so a denominator such as 5e-324 can still overflow to inf;
+``evaluate``, ``pairwise`` and the registry's Cell refuse a non-finite
+distance with DomainViolationError.
 """
 
 from __future__ import annotations
@@ -63,16 +64,24 @@ def _div(num, den):
     return out
 
 
-def _xlog(coef, arg):
-    """coef * ln(arg), with EPSILON in place of each non-positive argument;
-    zero coefficients contribute 0."""
-    coef = np.asarray(coef, dtype=np.float64)
+def _log(arg):
+    """ln(arg), with EPSILON in place of each non-positive argument.
+
+    Only a copy is written, and only when some argument is non-positive.
+    """
     arg = np.asarray(arg, dtype=np.float64)
     bad = arg <= 0.0
     if bad.any():
         arg = arg.copy()
         arg[bad] = EPSILON
-    term = np.asarray(coef * np.log(arg))
+    return np.log(arg)
+
+
+def _xlog(coef, arg):
+    """coef * ln(arg), with EPSILON in place of each non-positive argument;
+    zero coefficients contribute 0."""
+    coef = np.asarray(coef, dtype=np.float64)
+    term = np.asarray(coef * _log(arg))
     zero = coef == 0.0
     if zero.any():
         np.copyto(term, 0.0, where=zero)
@@ -235,7 +244,7 @@ ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "square_sum": lambda t: _fsum(np.square(t.yf)),
     "unit": lambda t: _div(t.yf, np.sqrt(t.row("square_sum"))),      # ChoD
     "sqrt": lambda t: np.sqrt(t.yf),                                  # SCD, MatD, HeD
-    "log": lambda t: np.log(np.where(t.yf <= 0.0, EPSILON, t.yf)),   # JefD
+    "log": lambda t: _log(t.yf),                                      # JefD
     "xlogx": lambda t: _xlog(t.yf, t.yf),                             # JDD
     "centred": lambda t: t.yf - _fsum(t.yf) / len(t.yf),              # PeaD, CorD, SPeaD
     "centred_square_sum": lambda t: _fsum(np.square(t.row("centred"))),
@@ -373,7 +382,7 @@ def chord(t):
 def bhattacharyya(t):
     """Negative log of the sum of geometric means; may be negative."""
     s = _fsum(np.sqrt(t.prod))
-    return -_xlog(np.ones_like(s), s)
+    return -_log(s)
 
 
 # Squared L2 family
@@ -411,7 +420,7 @@ def jeffreys(t):
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
-    term = t.diff * (np.log(np.where(t.xf <= 0.0, EPSILON, t.xf)) - t.row("log"))
+    term = t.diff * (_log(t.xf) - t.row("log"))
     np.copyto(term, 0.0, where=t.diff == 0.0)
     return _fsum(term)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -299,8 +298,13 @@ def _resolve(metric: str | MetricDescriptor) -> MetricDescriptor:
     return describe(metric)
 
 
-def _domain_error(desc: MetricDescriptor) -> DomainViolationError:
-    return DomainViolationError(f"{desc.abbrev} requires non-negative inputs")
+def _check_domain(desc: MetricDescriptor, *arrays) -> None:
+    """Refuse a negative input to a metric that requires non-negative ones: the one domain rule.
+
+    The signs are read only for such a metric.
+    """
+    if desc.requires_nonneg_inputs and any((a < 0.0).any() for a in arrays):
+        raise DomainViolationError(f"{desc.abbrev} requires non-negative inputs")
 
 
 def _finite(desc: MetricDescriptor, out):
@@ -318,8 +322,7 @@ def evaluate(metric: str | MetricDescriptor, x, y) -> float:
     if x.shape != y.shape or x.ndim != 1 or not x.size:
         raise DimensionMismatchError(f"expected two equal-length 1-d vectors of n >= 1 "
                                      f"features, got {x.shape} and {y.shape}")
-    if desc.requires_nonneg_inputs and ((x < 0.0).any() or (y < 0.0).any()):
-        raise _domain_error(desc)
+    _check_domain(desc, x, y)
     return float(_finite(desc, desc.func(PairTerms(x, y))))
 
 
@@ -352,11 +355,12 @@ class Cell:
     row terms every block's PairTerms shares. Terms, cores and the block's
     inputs are read-only views, dropped when the next block starts.
 
-    The cell names no metric. It decides the domain, reading the signs of
-    its inputs only if a metric requires non-negative inputs, and refuses
-    a non-finite distance by the rule ``evaluate`` follows. ``skips`` maps
-    a metric to its reason: a domain that excludes the inputs, or
-    non-finite distances in any block. ``live()`` lists the metrics not
+    The cell names no metric. It decides the domain of each metric once,
+    and refuses a non-finite distance, by the rules ``evaluate`` follows.
+    ``skips`` maps a metric to its reason, the text of the error: a domain
+    that excludes the inputs, or non-finite distances in any block. A
+    skipped metric is refused with that reason on every later block,
+    without its kernel being called. ``live()`` lists the metrics not
     skipped, in the order given. Every distance is bitwise equal to the
     kernel called on one query. ``pairwise`` refuses a cell for any
     arrays other than its current block and its training rows.
@@ -370,15 +374,14 @@ class Cell:
             raise DimensionMismatchError(f"expected (t, n) queries against (m, n) rows with "
                                          f"n >= 1, got {self.queries.shape} and {self.rows.shape}")
         self.metrics = tuple(_resolve(metric) for metric in metrics)
-        self.skips: dict[str, str] = {desc.abbrev: "negative features outside metric domain"
-                                      for desc in self.metrics
-                                      if desc.requires_nonneg_inputs and self._negative}
+        self.skips: dict[str, str] = {}
+        for desc in self.metrics:
+            try:
+                _check_domain(desc, self.queries, self.rows)
+            except DomainViolationError as exc:
+                self.skips[desc.abbrev] = str(exc)
         self.block: np.ndarray | None = None
         self._terms = None
-
-    @cached_property
-    def _negative(self) -> bool:
-        return bool((self.queries < 0.0).any() or (self.rows < 0.0).any())
 
     def live(self) -> list[MetricDescriptor]:
         """The metrics without a skip reason, in the order given."""
@@ -400,12 +403,12 @@ class Cell:
     def _distances(self, desc: MetricDescriptor, x, rows) -> np.ndarray:
         if x is not self.block or rows is not self.rows:
             raise ValueError("a cell scores only its current query block against its rows")
+        if desc.abbrev in self.skips:
+            raise DomainViolationError(self.skips[desc.abbrev])
         try:
-            if desc.requires_nonneg_inputs and self._negative:
-                raise _domain_error(desc)
             return _finite(desc, desc.func(self._terms))
         except DomainViolationError as exc:
-            self.skips.setdefault(desc.abbrev, str(exc))
+            self.skips[desc.abbrev] = str(exc)
             raise
 
 

@@ -164,6 +164,11 @@ def div_ref(num, den):
     return np.where(bad, np.where(num == 0.0, 0.0, num / EPSILON), out)
 
 
+def log_ref(arg):
+    arg = np.asarray(arg, dtype=np.float64)
+    return np.log(np.where(arg <= 0.0, EPSILON, arg))
+
+
 def xlog_ref(coef, arg):
     coef = np.asarray(coef, dtype=np.float64)
     arg = np.asarray(arg, dtype=np.float64)

@@ -263,3 +263,6 @@ def test_module_entry_point(workspace):
     assert proc.returncode == 0, proc.stderr
     assert (out / "records.csv").exists()
     assert "cell dataset=" in proc.stderr   # progress goes to stderr
+    proc = subprocess.run([sys.executable, "-m", "distbench", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: "), proc.stderr

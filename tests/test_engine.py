@@ -92,6 +92,25 @@ def test_non_finite_distance_raises_naming_the_metric():
             pairwise("HauD", np.ones((2, 2)), np.array([[1.0, 1.0], [bad, 1.0], [1.0, 2.0]]))
 
 
+def test_a_skipped_metric_is_refused_on_later_blocks_without_its_kernel(monkeypatch):
+    rows = np.array([[0.0, 0.0], [1.0, 1.0]])
+    queries = np.array([[1e200, 0.0], [1.0, 0.0]])   # ED overflows on the first only
+    monkeypatch.setattr(registry, "BLOCK_ELEMENTS", rows.size)   # blocks of one query
+    calls = []
+
+    def counted(t):
+        calls.append(len(t.x))
+        return describe("ED").func(t)
+
+    ed = dataclasses.replace(describe("ED"), func=counted)
+    cell = Cell(queries, rows, (ed,))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        for block in cell.blocks():
+            with pytest.raises(DomainViolationError, match="ED produced a non-finite distance"):
+                pairwise(ed, block, rows, cell)
+    assert calls == [1] and cell.skips == {"ED": "ED produced a non-finite distance"}
+
+
 @pytest.mark.parametrize("abbrev", ("ED", "HasD", "HauD", "KLD", "CosD"))
 def test_classify_batch_k3_equals_per_query_classify(abbrev):
     rng = np.random.default_rng(2)

@@ -78,13 +78,16 @@ def test_guard_helpers_equal_their_references(case, rule, monkeypatch):
 @pytest.mark.parametrize("rule", ["epsilon"])
 def test_div_and_xlog_equal_their_references_elementwise(rule):
     # every (numerator or coefficient, denominator or argument) pair of the
-    # pool, with the second operand broadcast along one axis as a query is
+    # pool, with the second operand broadcast along one axis as a query is;
+    # _log takes the second operand alone
     pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5, 1e300, -1e300, np.inf, -np.inf])
     first = np.repeat(pool, len(pool)).reshape(len(pool), len(pool))
     for second in (np.tile(pool, (len(pool), 1)), pool[None, :]):
-        for helper, reference in ((kernels._div, ref.div_ref), (kernels._xlog, ref.xlog_ref)):
-            got, caught = _warned(helper, first, second)
-            want, want_caught = _warned(reference, first, second)
+        for helper, reference in ((kernels._div, ref.div_ref), (kernels._xlog, ref.xlog_ref),
+                                  (kernels._log, ref.log_ref)):
+            args = (second,) if helper is kernels._log else (first, second)
+            got, caught = _warned(helper, *args)
+            want, want_caught = _warned(reference, *args)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), helper.__name__
             assert set(caught) <= set(want_caught), (helper.__name__, caught, want_caught)
 

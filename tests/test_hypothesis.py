@@ -4,6 +4,7 @@ Each property searches generated inputs and shrinks any counterexample;
 ``derandomize=True`` keeps every run of the suite on the same examples.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -16,10 +17,12 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from distbench import (Cell, Dataset, NoiseSpec, RunRecord, ScoreTriple,  # noqa: E402
                        describe, evaluate, inject, list_metrics, pairwise, read_records_csv,
-                       round_half_up, write_records_csv)
+                       round_half_up, wilcoxon_rank_sum, wilcoxon_signed_rank,
+                       write_records_csv)
 from distbench.errors import ConfigError, DomainViolationError  # noqa: E402
 from distbench.metrics import kernels, registry  # noqa: E402
 
+from _reference import exact_rank_sum_pvalue  # noqa: E402
 from test_engine import _bits, _outcome, _reference  # noqa: E402
 
 settings.register_profile("distbench", derandomize=True, max_examples=200, deadline=None,
@@ -78,9 +81,10 @@ def _agrees(compute, want, in_domain):
 @given(engine_inputs(), st.data())
 def test_engine_equals_the_per_query_kernel_loop(inputs, data):
     # pairwise without a cell, and every block of a cell of all metrics,
-    # under the default block budget and under blocks of two queries; on
-    # sampled (query, row) pairs, evaluate gives the bits of pairwise, or
-    # both raise the same error
+    # under the default block budget and under blocks of two queries (a
+    # metric the cell refused on one block it refuses on every later one);
+    # on sampled (query, row) pairs, evaluate gives the bits of pairwise,
+    # or both raise the same error
     queries, rows = inputs
     pairs = data.draw(st.lists(st.tuples(st.integers(0, len(queries) - 1),
                                          st.integers(0, len(rows) - 1)),
@@ -101,8 +105,8 @@ def test_engine_equals_the_per_query_kernel_loop(inputs, data):
                 at = slice(start, start + len(block))
                 start += len(block)
                 for desc in metrics:
-                    _agrees(lambda: pairwise(desc, block, rows, cell),
-                            want[desc.abbrev][at], in_domain[desc.abbrev])
+                    _agrees(lambda: pairwise(desc, block, rows, cell), want[desc.abbrev][at],
+                            in_domain[desc.abbrev] and desc.abbrev not in cell.skips)
             assert start == len(queries)
         for i, j in pairs:
             for desc in metrics:
@@ -210,3 +214,62 @@ def test_noise_corrupts_only_the_chosen_rows_within_the_attribute_bounds(case):
     assert np.all((ds.attr_min <= out.features) & (out.features <= ds.attr_max))
     again = inject(ds, NoiseSpec(level, seed))
     assert np.array_equal(again.features.view(np.int64), out.features.view(np.int64))
+
+
+@st.composite
+def untied_samples(draw):
+    """Two non-empty samples whose pooled values are distinct, at most 12 in all."""
+    pooled = draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12, unique=True))
+    cut = draw(st.integers(1, len(pooled) - 1))
+    return pooled[:cut], pooled[cut:]
+
+
+@settings(max_examples=100)
+@given(untied_samples())
+def test_rank_sum_equals_the_enumeration_oracle_on_untied_pools(samples):
+    a, b = samples
+    assert wilcoxon_rank_sum(a, b) == pytest.approx(exact_rank_sum_pvalue(a, b), abs=1e-9)
+
+
+# half-steps, so ties and zero differences are common; pools of up to 50
+# take the normal approximation where they are tied or longer than 20
+tied_values = st.integers(-8, 8).map(lambda v: v / 2)
+
+
+@settings(max_examples=100)
+@given(st.lists(tied_values, min_size=1, max_size=25),
+       st.lists(tied_values, min_size=1, max_size=25))
+def test_rank_sum_is_the_same_with_the_samples_swapped(a, b):
+    assert wilcoxon_rank_sum(a, b) == wilcoxon_rank_sum(b, a)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(tied_values, tied_values), min_size=1, max_size=25))
+def test_signed_rank_is_the_same_with_the_samples_swapped(pairs):
+    a, b = zip(*pairs)
+    assert wilcoxon_signed_rank(a, b) == wilcoxon_signed_rank(b, a)
+
+
+@st.composite
+def untied_differences(draw):
+    """Paired samples whose differences are non-zero and distinct in magnitude."""
+    magnitudes = draw(st.lists(st.integers(1, 200), min_size=1, max_size=20, unique=True))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(magnitudes),
+                          max_size=len(magnitudes)))
+    b = draw(st.lists(st.integers(-100, 100), min_size=len(magnitudes),
+                      max_size=len(magnitudes)))
+    # integers, so every difference a - b is exact
+    return [float(y + s * d) for y, s, d in zip(b, signs, magnitudes)], [float(y) for y in b]
+
+
+@settings(max_examples=100)
+@given(untied_differences())
+def test_signed_rank_p_follows_from_a_brute_force_statistic(samples):
+    a, b = samples
+    d = [x - y for x, y in zip(a, b)]
+    n = len(d)
+    # W+ counts the pairs i <= j whose mean difference is positive (Walsh averages)
+    w_plus = sum(1 for i in range(n) for j in range(i, n) if d[i] + d[j] > 0)
+    z = (abs(w_plus - n * (n + 1) / 4) - 0.5) / math.sqrt(n * (n + 1) * (2 * n + 1) / 24)
+    want = min(1.0, math.erfc(z / math.sqrt(2.0)))
+    assert wilcoxon_signed_rank(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -5,6 +5,7 @@ import pytest
 
 from distbench import wilcoxon_rank_sum, wilcoxon_signed_rank
 from distbench.errors import LengthMismatchError
+from distbench.evaluation import _normal_rank_sum_pvalue
 
 from _reference import exact_rank_sum_pvalue
 
@@ -23,10 +24,10 @@ def test_fully_separated_small_samples():
     b = [6, 7, 8, 9, 10]
     oracle = exact_rank_sum_pvalue(a, b)
     assert oracle == pytest.approx(2.0 / 252.0, abs=1e-12)
-    # default method enumerates the same null distribution
+    # an untied pool of 10 enumerates the same null distribution
     assert wilcoxon_rank_sum(a, b) == pytest.approx(oracle, abs=1e-12)
-    # the asymptotic approximation stays within the documented 0.03
-    approx_p = wilcoxon_rank_sum(a, b, method="asymptotic")
+    # the normal approximation (rank sum 15, no ties) stays within the documented 0.03
+    approx_p = _normal_rank_sum_pvalue(15.0, 5, 5, 0)
     assert approx_p == pytest.approx(0.01219, abs=1e-4)
     assert abs(approx_p - oracle) <= 0.03
 
@@ -42,13 +43,14 @@ def test_interleaved_small_samples():
 
 
 def test_symmetry_under_argument_swap():
+    # pools of up to 20 untied values are enumerated; longer pools and
+    # pools rounded to one decimal (so tied) take the normal approximation
     rng = np.random.default_rng(30)
     for _ in range(20):
-        a = rng.normal(size=int(rng.integers(2, 12))).tolist()
-        b = rng.normal(size=int(rng.integers(2, 12))).tolist()
-        for method in ("auto", "asymptotic"):
-            assert wilcoxon_rank_sum(a, b, method=method) == \
-                wilcoxon_rank_sum(b, a, method=method)
+        for high, decimals in ((11, 15), (20, 15), (12, 1)):
+            a = rng.normal(size=int(rng.integers(2, high))).round(decimals).tolist()
+            b = rng.normal(size=int(rng.integers(2, high))).round(decimals).tolist()
+            assert wilcoxon_rank_sum(a, b) == wilcoxon_rank_sum(b, a)
 
 
 def test_default_matches_oracle_for_all_small_size_pairs():
@@ -70,18 +72,15 @@ def test_exact_method_enumerates_every_arrangement():
     for picks in combinations(range(6), 3):
         a = [values[i] for i in picks]
         b = [values[i] for i in range(6) if i not in picks]
-        got = wilcoxon_rank_sum(a, b, method="exact")
+        got = wilcoxon_rank_sum(a, b)   # untied, so enumerated
         want = exact_rank_sum_pvalue(a, b)
         assert got == pytest.approx(want, abs=1e-12), picks
 
 
-def test_exact_method_rejects_ties():
-    with pytest.raises(ValueError):
-        wilcoxon_rank_sum([1.0, 1.0], [2.0, 3.0], method="exact")
-
-
 def test_asymptotic_handles_ties():
-    p = wilcoxon_rank_sum([1.0, 1.0, 2.0], [1.0, 3.0, 3.0], method="asymptotic")
+    # the ties select the normal approximation: rank sum 8, tie sum (27 - 3) + (8 - 2)
+    p = wilcoxon_rank_sum([1.0, 1.0, 2.0], [1.0, 3.0, 3.0])
+    assert p == _normal_rank_sum_pvalue(8.0, 3, 3, 30)
     assert 0.0 <= p <= 1.0
 
 
@@ -103,11 +102,6 @@ def test_large_similar_samples_are_not_significant():
 def test_empty_sample_rejected():
     with pytest.raises(LengthMismatchError):
         wilcoxon_rank_sum([], [1.0])
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        wilcoxon_rank_sum([1.0], [2.0], method="bogus")
 
 
 def test_signed_rank_identical_pairs():
