@@ -14,7 +14,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +90,21 @@ def _check_metrics(metrics: tuple[str, ...]) -> None:
 # a line up to its first "#" outside double quotes, so a quoted item may hold one
 _COMMENT_FREE = re.compile(r'(?:[^"#]|"[^"]*"?)*')
 
-_CONFIG_KEYS = {"datasets", "metrics", "k", "test_fraction", "repetitions",
-                "noise_levels", "top_n", "master_seed", "workers"}
+
+def _split_list(value: str) -> tuple[str, ...]:
+    # one CSV row, so a double-quoted item may hold a comma
+    items = next(csv.reader([value], skipinitialspace=True), [])
+    return tuple(item.strip() for item in items if item.strip())
+
+
+# every ExperimentConfig field is a config key, parsed by the reader of its type
+_READERS = {
+    "int": int,
+    "float": float,
+    "tuple[str, ...]": _split_list,
+    "tuple[float, ...]": lambda value: tuple(float(v) for v in _split_list(value)),
+}
+_CONFIG_KEYS = {f.name: _READERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -116,25 +129,13 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def split_list(value: str) -> tuple[str, ...]:
-        # one CSV row, so a double-quoted item may hold a comma
-        items = next(csv.reader([value], skipinitialspace=True), [])
-        return tuple(item.strip() for item in items if item.strip())
-
     kwargs: dict = {}
     try:
-        if "datasets" in raw:
-            kwargs["datasets"] = split_list(raw["datasets"])
-        if "metrics" in raw:
-            value = raw["metrics"]
-            kwargs["metrics"] = list_metrics() if value.lower() == "all" else split_list(value)
-        if "noise_levels" in raw:
-            kwargs["noise_levels"] = tuple(float(v) for v in split_list(raw["noise_levels"]))
-        for key, conv in (("k", int), ("repetitions", int), ("top_n", int),
-                          ("master_seed", int), ("workers", int),
-                          ("test_fraction", float)):
-            if key in raw:
-                kwargs[key] = conv(raw[key])
+        for key, value in raw.items():
+            if key == "metrics" and value.lower() == "all":
+                kwargs[key] = list_metrics()
+            else:
+                kwargs[key] = _CONFIG_KEYS[key](value)
     except (ValueError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -289,7 +290,6 @@ def top_metrics_from_summary(summary: list[SummaryRow], top_n: int) -> tuple[str
 class CleanResult:
     records: list[RunRecord]
     skips: list[SkipRecord]
-    summary: list[SummaryRow]
 
 
 def run_clean_phase(cfg: ExperimentConfig) -> CleanResult:
@@ -302,8 +302,7 @@ def _clean_phase(cfg: ExperimentConfig, datasets: list[Dataset]) -> CleanResult:
     tasks = [(ds, 0.0, rep, cfg.metrics, cfg)
              for ds in datasets
              for rep in range(cfg.repetitions)]
-    records, skips = _run_tasks(tasks, cfg.workers)
-    return CleanResult(records, skips, summarize(records))
+    return CleanResult(*_run_tasks(tasks, cfg.workers))
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ def run_noise_phase(cfg: ExperimentConfig,
     clean = None
     if top_metrics is None:
         clean = _clean_phase(cfg, datasets)
-        top_metrics = top_metrics_from_summary(clean.summary, cfg.top_n)
+        top_metrics = top_metrics_from_summary(summarize(clean.records), cfg.top_n)
     levels = cfg.noise_levels or DEFAULT_NOISE_LEVELS
 
     tasks = []

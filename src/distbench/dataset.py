@@ -1,8 +1,8 @@
-"""Numeric classification datasets: CSV ingestion, stats and seeded splits.
+"""Numeric classification datasets: CSV ingestion and seeded splits.
 
-A dataset is an immutable bundle of a float feature matrix, dense integer
-class ids, the original class labels and per-attribute min/max computed
-over all rows. Splits are pure functions of (dataset, plan, repetition).
+A dataset is what was loaded: an immutable bundle of a float feature
+matrix, dense integer class ids and the original class labels. Splits
+are pure functions of (dataset, plan, repetition).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .errors import (
+    ConfigError,
     EmptyDatasetError,
     InconsistentArityError,
     MissingValueError,
@@ -42,16 +43,12 @@ class Dataset:
     features: np.ndarray          # (m, n) float64
     labels: np.ndarray            # (m,) int64 dense class ids
     class_labels: tuple[str, ...]  # id -> original label
-    attr_min: np.ndarray          # (n,) per-attribute minimum over all rows
-    attr_max: np.ndarray          # (n,) per-attribute maximum over all rows
 
     def __post_init__(self):
         feats = _frozen(np.asarray(self.features, dtype=np.float64))
         labs = _frozen(np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "attr_min", _frozen(np.asarray(self.attr_min, dtype=np.float64)))
-        object.__setattr__(self, "attr_max", _frozen(np.asarray(self.attr_max, dtype=np.float64)))
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         if len(labs) != len(feats):
@@ -64,24 +61,11 @@ class Dataset:
             raise NonNumericError(f"dataset {self.name!r} has non-finite features")
         if labs.min() < 0 or labs.max() >= len(self.class_labels):
             raise ValueError("labels contain ids outside the class alphabet")
-        if np.any(self.attr_min > self.attr_max):
-            raise ValueError("attr_min exceeds attr_max")
 
     @classmethod
-    def from_arrays(cls, name, features, labels, class_labels,
-                    attr_min=None, attr_max=None) -> "Dataset":
-        """Build a dataset, deriving attribute stats from the data unless given.
-
-        Split views pass the parent's stats so that min/max always describe
-        the full dataset they were computed from.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        if attr_min is None:
-            attr_min = features.min(axis=0)
-        if attr_max is None:
-            attr_max = features.max(axis=0)
-        return cls(name, features, np.asarray(labels, dtype=np.int64),
-                   tuple(str(c) for c in class_labels), attr_min, attr_max)
+    def from_arrays(cls, name, features, labels, class_labels) -> "Dataset":
+        """Build a dataset from array-likes; class labels become strings."""
+        return cls(name, features, labels, tuple(str(c) for c in class_labels))
 
     @property
     def n_features(self) -> int:
@@ -95,7 +79,16 @@ class Dataset:
         return len(self.features)
 
     def to_csv(self, path) -> None:
-        """Write the dataset back out; floats use repr so reloading is exact."""
+        """Write the dataset back out; floats use repr so reloading is exact.
+
+        A class label that ``load_csv`` would not read back is refused
+        before anything is written: an empty one, one holding a comma or a
+        line boundary, or one with surrounding whitespace.
+        """
+        for label in self.class_labels:
+            if label.splitlines() != [label] or label != label.strip() or "," in label:
+                raise ConfigError(f"a dataset CSV cannot hold the class label {label!r}: "
+                                  f"it would not read back")
         lines = []
         for row, lab in zip(self.features, self.labels):
             cells = [repr(float(v)) for v in row]
@@ -128,18 +121,15 @@ def _header_evidence(cell: str) -> bool:
     return False
 
 
-def load_csv(path, class_column: int = -1, name: str | None = None,
-             normalize: bool = False) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a comma-separated numeric classification dataset.
 
-    The class column defaults to the last column. A single header row is
-    auto-detected: the first line is a header iff any of its feature cells
-    is non-numeric. Class labels may be arbitrary strings; they are mapped
-    to dense integer ids in order of first appearance. Feature cells must
-    parse as finite reals and no cell may be empty.
-
-    Set ``normalize`` to min-max scale every feature column into [0, 1]
-    (off by default).
+    The class is the last column and the dataset is named after the file
+    stem. A single header row is auto-detected: the first line is a header
+    iff any of its feature cells is non-numeric. Class labels may be
+    arbitrary strings; they are mapped to dense integer ids in order of
+    first appearance. Feature cells must parse as finite reals and no cell
+    may be empty.
     """
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
@@ -157,12 +147,7 @@ def load_csv(path, class_column: int = -1, name: str | None = None,
     if width < 2:
         raise EmptyDatasetError(f"{path} has no feature columns")
 
-    cls_col = class_column if class_column >= 0 else width + class_column
-    if not 0 <= cls_col < width:
-        raise ValueError(f"class column {class_column} out of range for {width} columns")
-
-    feature_cols = [c for c in range(width) if c != cls_col]
-    header = any(_header_evidence(table[0][c]) for c in feature_cols)
+    header = any(_header_evidence(cell) for cell in table[0][:-1])
     data = table[1:] if header else table
     if not data:
         raise EmptyDatasetError(f"{path} contains a header but no data rows")
@@ -171,9 +156,9 @@ def load_csv(path, class_column: int = -1, name: str | None = None,
     features = np.empty((m, width - 1), dtype=np.float64)
     raw_labels = []
     for i, cells in enumerate(data):
-        for j, c in enumerate(feature_cols):
-            features[i, j] = _parse_feature(cells[c], i, c)
-        label = cells[cls_col]
+        for j, cell in enumerate(cells[:-1]):
+            features[i, j] = _parse_feature(cell, i, j)
+        label = cells[-1]
         if label == "":
             raise MissingValueError(f"empty class cell at row {i}")
         raw_labels.append(label)
@@ -187,13 +172,7 @@ def load_csv(path, class_column: int = -1, name: str | None = None,
             class_labels.append(label)
         ids[i] = index[label]
 
-    if normalize:
-        lo = features.min(axis=0)
-        span = features.max(axis=0) - lo
-        span[span == 0.0] = 1.0  # constant columns map to 0
-        features = (features - lo) / span
-
-    return Dataset.from_arrays(name or path.stem, features, ids, class_labels)
+    return Dataset.from_arrays(path.stem, features, ids, class_labels)
 
 
 @dataclass(frozen=True)
@@ -219,7 +198,7 @@ def split(ds: Dataset, plan: SplitPlan, repetition: int) -> tuple[Dataset, Datas
     """Partition a dataset into disjoint train/test views for one repetition.
 
     The test side holds round(test_fraction * len(ds)) uniformly sampled
-    examples. Views keep the parent's attribute stats and class alphabet.
+    examples. Views keep the parent's name and class alphabet.
     """
     if not 0 <= repetition < plan.repetitions:
         raise ValueError(f"repetition {repetition} outside [0, {plan.repetitions})")
@@ -238,6 +217,6 @@ def split(ds: Dataset, plan: SplitPlan, repetition: int) -> tuple[Dataset, Datas
 
     def view(idx: np.ndarray) -> Dataset:
         return Dataset.from_arrays(ds.name, ds.features[idx], ds.labels[idx],
-                                   ds.class_labels, ds.attr_min, ds.attr_max)
+                                   ds.class_labels)
 
     return view(train_idx), view(test_idx)

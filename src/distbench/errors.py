@@ -34,7 +34,7 @@ class InconsistentArityError(DistbenchError):
 
 
 class TooSmallError(DistbenchError):
-    """A split would leave the train or the test side empty."""
+    """A split would leave a side empty, or k is outside [1, training examples]."""
 
 
 class LengthMismatchError(DistbenchError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TooSmallError
 from .metrics import Cell, MetricDescriptor, describe, pairwise
 
 
@@ -39,7 +39,8 @@ class KnnModel:
         if feats.ndim != 2 or len(feats) != len(labs):
             raise ValueError("training features/labels are inconsistent")
         if not 1 <= self.k <= len(feats):
-            raise ValueError(f"k={self.k} outside [1, {len(feats)}]")
+            raise TooSmallError(f"k={self.k} outside [1, {len(feats)}], "
+                                f"the number of training examples")
 
     @classmethod
     def from_dataset(cls, ds: Dataset, metric: str | MetricDescriptor, k: int = 1) -> "KnnModel":

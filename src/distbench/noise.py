@@ -2,8 +2,8 @@
 
 A chosen fraction of examples is selected without replacement; every
 attribute of a selected example is replaced by an independent uniform
-draw between that attribute's observed minimum and maximum over the full
-dataset. Class labels are never touched.
+draw between that attribute's minimum and maximum over the dataset being
+corrupted. Class labels are never touched.
 """
 
 from __future__ import annotations
@@ -45,6 +45,6 @@ def inject(ds: Dataset, spec: NoiseSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     chosen = rng.permutation(len(ds))[:count]
     features = ds.features.copy()
-    features[chosen] = rng.uniform(ds.attr_min, ds.attr_max,
+    features[chosen] = rng.uniform(ds.features.min(axis=0), ds.features.max(axis=0),
                                    size=(count, ds.n_features))
     return Dataset.from_arrays(ds.name, features, ds.labels, ds.class_labels)

@@ -68,7 +68,8 @@ def test_monotone_pair_scores_identically(tiny_config):
 
 def test_summary_sorted_and_averaged(tiny_config):
     result = run_clean_phase(tiny_config)
-    accs = [row.accuracy for row in result.summary]
+    summary = summarize(result.records)
+    accs = [row.accuracy for row in summary]
     assert accs == sorted(accs, reverse=True)
     # overall mean is the mean of per-dataset means
     ed_rows = [r for r in result.records if r.metric == "ED"]
@@ -76,7 +77,7 @@ def test_summary_sorted_and_averaged(tiny_config):
     for rec in ed_rows:
         per_ds.setdefault(rec.dataset, []).append(rec.scores.accuracy)
     want = np.mean([np.mean(v) for v in per_ds.values()])
-    got = next(row.accuracy for row in result.summary if row.metric == "ED")
+    got = next(row.accuracy for row in summary if row.metric == "ED")
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -181,7 +182,7 @@ def test_noise_phase_keeps_the_clean_phase_that_picked_its_metrics(tiny_config):
     result = run_noise_phase(cfg)
     clean = run_clean_phase(cfg)
     assert result.clean == clean
-    assert result.metrics == top_metrics_from_summary(clean.summary, 2)
+    assert result.metrics == top_metrics_from_summary(summarize(clean.records), 2)
 
 
 @pytest.mark.parametrize("top_metrics", (None, ("ED", "MD")), ids=("clean phase first", "given"))
@@ -190,9 +191,9 @@ def test_noise_phase_parses_each_dataset_once(tiny_config, top_metrics, monkeypa
     from distbench import bench
     loads, load_csv = [], bench.load_csv
 
-    def counting(path, *args, **kwargs):
+    def counting(path):
         loads.append(path)
-        return load_csv(path, *args, **kwargs)
+        return load_csv(path)
 
     monkeypatch.setattr(bench, "load_csv", counting)
     run_noise_phase(replace(tiny_config, noise_levels=(0.3,), top_n=2), top_metrics)

@@ -236,6 +236,18 @@ def test_unknown_metric_in_config_exits_nonzero(tmp_path, capsys):
     assert main(["clean", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_a_k_above_the_training_side_exits_nonzero(tmp_path, capsys):
+    # 8 rows at test_fraction 0.34 leave 5 training rows for k = 9
+    rows = [f"{i},{i % 3},{'ab'[i % 2]}" for i in range(8)]
+    data = tmp_path / "small.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "bench.cfg", [data], metrics="ED", k=9, test_fraction=0.34)
+    out = tmp_path / "out"
+    assert main(["clean", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: k=9 outside [1, 5]" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
 def test_missing_dataset_file_exits_nonzero(tmp_path):
     cfg = write_config(tmp_path / "bench.cfg", [tmp_path / "ghost.csv"])
     assert main(["clean", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -1,10 +1,11 @@
-"""CSV ingestion, attribute stats and seeded splitting."""
+"""CSV ingestion, the CSV round trip and seeded splitting."""
 
 import numpy as np
 import pytest
 
 from distbench import Dataset, SplitPlan, load_csv, round_half_up, split
 from distbench.errors import (
+    ConfigError,
     EmptyDatasetError,
     InconsistentArityError,
     MissingValueError,
@@ -27,14 +28,15 @@ def test_load_toy_rows(tmp_path):
     assert len(ds) == 4
     assert ds.class_labels == ("1", "2")           # ids 0 and 1
     assert list(ds.labels) == [0, 1, 1, 0]
-    assert ds.attr_min.tolist() == [1.0, 2.0, 2.0]
-    assert ds.attr_max.tolist() == [5.0, 4.0, 3.0]
+    assert ds.name == "data"                       # the file stem
+    assert ds.features.min(axis=0).tolist() == [1.0, 2.0, 2.0]
+    assert ds.features.max(axis=0).tolist() == [5.0, 4.0, 3.0]
 
 
 def test_load_single_row(tmp_path):
     ds = load_csv(_write(tmp_path, "0,0,0,A\n"))
-    assert ds.attr_min.tolist() == [0.0, 0.0, 0.0]
-    assert ds.attr_max.tolist() == [0.0, 0.0, 0.0]
+    assert ds.features.min(axis=0).tolist() == [0.0, 0.0, 0.0]
+    assert ds.features.max(axis=0).tolist() == [0.0, 0.0, 0.0]
     assert ds.class_labels == ("A",)
 
 
@@ -86,25 +88,12 @@ def test_inconsistent_arity(tmp_path):
         load_csv(_write(tmp_path, "1,2,A\n1,2,3,B\n"))
 
 
-def test_class_column_override(tmp_path):
-    ds = load_csv(_write(tmp_path, "A,1,2\nB,3,4\n"), class_column=0)
-    assert ds.n_features == 2
-    assert ds.class_labels == ("A", "B")
-    assert ds.features[0].tolist() == [1.0, 2.0]
-
-
-def test_normalize_flag(tmp_path):
-    ds = load_csv(_write(tmp_path, "0,5,A\n10,5,B\n"), normalize=True)
-    assert ds.features[:, 0].tolist() == [0.0, 1.0]
-    assert ds.features[:, 1].tolist() == [0.0, 0.0]  # constant column maps to 0
-
-
 def test_round_trip_identity(tmp_path):
     rng = np.random.default_rng(5)
     lines = []
     for _ in range(20):
         cells = [repr(float(v)) for v in rng.normal(size=4)]
-        cells.append(rng.choice(["red", "green", "blue"]))
+        cells.append(rng.choice(["red", "Iris setosa", 'say "hi"', "x\ty"]))
         lines.append(",".join(cells))
     ds = load_csv(_write(tmp_path, "\n".join(lines) + "\n"))
     out = tmp_path / "round.csv"
@@ -115,15 +104,16 @@ def test_round_trip_identity(tmp_path):
     assert back.class_labels == ds.class_labels
 
 
-def test_stats_invariant_under_row_permutation(tmp_path):
-    rng = np.random.default_rng(6)
-    feats = rng.normal(size=(30, 5))
-    labels = rng.integers(0, 2, size=30)
-    ds = Dataset.from_arrays("a", feats, labels, ["x", "y"])
-    perm = rng.permutation(30)
-    shuffled = Dataset.from_arrays("b", feats[perm], labels[perm], ["x", "y"])
-    assert np.array_equal(ds.attr_min, shuffled.attr_min)
-    assert np.array_equal(ds.attr_max, shuffled.attr_max)
+@pytest.mark.parametrize("label", (
+    "a,b", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b",
+    "", " a", "a ", "\ta",
+))
+def test_to_csv_refuses_a_label_that_would_not_read_back(tmp_path, label):
+    ds = Dataset.from_arrays("d", [[1.0, 2.0], [3.0, 4.0]], [0, 1], ["ok", label])
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="would not read back"):
+        ds.to_csv(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
@@ -197,12 +187,11 @@ def test_splits_differ_across_repetitions():
     assert len(partitions) >= 2
 
 
-def test_split_views_keep_parent_stats():
+def test_split_views_keep_the_parent_class_alphabet():
     ds = _random_dataset(40)
     train, test = split(ds, SplitPlan(seed=9), 0)
-    assert np.array_equal(train.attr_min, ds.attr_min)
-    assert np.array_equal(test.attr_max, ds.attr_max)
     assert train.class_labels == ds.class_labels
+    assert test.class_labels == ds.class_labels
 
 
 def test_split_too_small():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distbench import Dataset, KnnModel, classify, classify_batch, neighbors
-from distbench.errors import DimensionMismatchError
+from distbench.errors import DimensionMismatchError, TooSmallError
 from distbench.metrics import registry
 
 from conftest import make_blobs
@@ -115,9 +115,9 @@ def test_training_order_permutation_without_ties():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooSmallError):
         KnnModel(TOY_FEATURES, TOY_LABELS, metric=_desc("ED"), k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TooSmallError, match=r"k=4 outside \[1, 3\]"):
         KnnModel(TOY_FEATURES, TOY_LABELS, metric=_desc("ED"), k=4)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from distbench import Dataset, NoiseSpec, inject
+from distbench import Dataset, NoiseSpec, SplitPlan, inject, split
 from distbench.errors import EmptyDatasetError
 
 
@@ -38,8 +38,21 @@ def test_every_attribute_of_selected_rows_changes():
 def test_values_within_attribute_bounds():
     ds = _dataset(m=200, n=4, seed=4)
     out = inject(ds, NoiseSpec(level=0.9, seed=4))
-    assert np.all(out.features >= ds.attr_min)
-    assert np.all(out.features <= ds.attr_max)
+    assert np.all(out.features >= ds.features.min(axis=0))
+    assert np.all(out.features <= ds.features.max(axis=0))
+
+
+def test_a_split_view_is_corrupted_within_its_own_range():
+    # one row at -100 and one at +100 in every attribute, the rest in [0, 1]:
+    # whichever view a split gives them to, some view's range is narrower
+    rng = np.random.default_rng(11)
+    feats = rng.uniform(0, 1, size=(40, 3))
+    feats[0], feats[1] = -100.0, 100.0
+    ds = Dataset.from_arrays("views", feats, rng.integers(0, 2, size=40), ["x", "y"])
+    for view in split(ds, SplitPlan(seed=12), 0):
+        out = inject(view, NoiseSpec(level=0.5, seed=13))
+        assert np.all(out.features >= view.features.min(axis=0))
+        assert np.all(out.features <= view.features.max(axis=0))
 
 
 def test_labels_untouched():
