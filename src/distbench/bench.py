@@ -25,6 +25,7 @@ from .errors import ConfigError, DomainViolationError
 from .evaluation import (
     ScoreTriple,
     confusion,
+    mean,
     rank_distances,
     score,
     wilcoxon_rank_sum,
@@ -57,7 +58,7 @@ class ExperimentConfig:
     master_seed: int = 0
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.datasets:
             raise ConfigError("no datasets configured")
         _check_metrics(self.metrics)
@@ -141,9 +142,7 @@ def parse_config(path) -> ExperimentConfig:
 
     if "datasets" not in kwargs:
         raise ConfigError(f"{path}: missing required key 'datasets'")
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -245,15 +244,14 @@ def _load_datasets(cfg: ExperimentConfig) -> list[Dataset]:
 
 def per_dataset_means(records: list[RunRecord], kind: str,
                       level: float) -> dict[str, dict[str, float]]:
-    """metric -> dataset -> mean score over repetitions at one noise level,
-    datasets in name order, so no table depends on the order of ``records``."""
-    sums: dict[str, dict[str, list[float]]] = {}
+    """metric -> dataset -> mean score over repetitions at one noise level."""
+    scores: dict[str, dict[str, list[float]]] = {}
     for rec in records:
         if rec.noise_level != level:
             continue
-        sums.setdefault(rec.metric, {}).setdefault(rec.dataset, []).append(rec.value(kind))
-    return {metric: {ds: sum(vals) / len(vals) for ds, vals in sorted(per_ds.items())}
-            for metric, per_ds in sums.items()}
+        scores.setdefault(rec.metric, {}).setdefault(rec.dataset, []).append(rec.value(kind))
+    return {metric: {ds: mean(vals) for ds, vals in per_ds.items()}
+            for metric, per_ds in scores.items()}
 
 
 @dataclass(frozen=True)
@@ -270,10 +268,7 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     metrics = sorted(by_kind["accuracy"])
     rows = []
     for metric in metrics:
-        means = {}
-        for kind in SCORE_KINDS:
-            per_ds = by_kind[kind][metric]
-            means[kind] = sum(per_ds.values()) / len(per_ds)
+        means = {kind: mean(by_kind[kind][metric].values()) for kind in SCORE_KINDS}
         rows.append(SummaryRow(metric, means["accuracy"], means["recall"],
                                means["precision"]))
     rows.sort(key=lambda r: (-r.accuracy, r.metric))
@@ -294,7 +289,6 @@ class CleanResult:
 
 def run_clean_phase(cfg: ExperimentConfig) -> CleanResult:
     """Phase one: every configured metric on every dataset, no noise."""
-    cfg.validate()
     return _clean_phase(cfg, _load_datasets(cfg))
 
 
@@ -321,7 +315,6 @@ def run_noise_phase(cfg: ExperimentConfig,
     the metrics ranking at most ``cfg.top_n`` by mean accuracy are used,
     and its result is kept as ``NoiseResult.clean``. Both phases score the
     datasets loaded once."""
-    cfg.validate()
     if top_metrics is not None:
         top_metrics = tuple(top_metrics)
         _check_metrics(top_metrics)

@@ -14,6 +14,7 @@ from pathlib import Path
 from .bench import (
     PUBLISHED_TOP,
     CompareRow,
+    _split_list,
     compare_to_reference,
     parse_config,
     run_clean_phase,
@@ -96,7 +97,7 @@ def cmd_clean(args) -> int:
 
 def _noise_metrics(args):
     if args.metrics is not None:
-        return tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+        return _split_list(args.metrics)
     if args.published_top:
         return PUBLISHED_TOP
     return None  # run_noise_phase derives the top list from a clean phase
@@ -138,9 +139,7 @@ def _format_compare(reference: str, rows: list[CompareRow], alpha: float) -> str
 
 def cmd_compare(args) -> int:
     records = read_records_csv(args.records)
-    others = None
-    if args.metrics is not None:
-        others = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    others = None if args.metrics is None else list(_split_list(args.metrics))
     rows = compare_to_reference(records, args.reference, others,
                                 noise_level=args.noise_level, alpha=args.alpha,
                                 signed_rank=args.signed_rank)

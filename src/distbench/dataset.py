@@ -83,12 +83,17 @@ class Dataset:
 
         A class label that ``load_csv`` would not read back is refused
         before anything is written: an empty one, one holding a comma or a
-        line boundary, or one with surrounding whitespace.
+        line boundary, one with surrounding whitespace, or one that no row
+        uses, since ``load_csv`` learns the labels from the rows.
         """
-        for label in self.class_labels:
+        used = set(self.labels.tolist())
+        for class_id, label in enumerate(self.class_labels):
             if label.splitlines() != [label] or label != label.strip() or "," in label:
                 raise ConfigError(f"a dataset CSV cannot hold the class label {label!r}: "
                                   f"it would not read back")
+            if class_id not in used:
+                raise ConfigError(f"no row of dataset {self.name!r} has the class label "
+                                  f"{label!r}: it would not read back")
         lines = []
         for row, lab in zip(self.features, self.labels):
             cells = [repr(float(v)) for v in row]
@@ -97,15 +102,16 @@ class Dataset:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_feature(cell: str, row: int, col: int) -> float:
+def _parse_feature(cell: str, path: Path, lineno: int, col: int) -> float:
     if cell == "":
-        raise MissingValueError(f"empty cell at row {row}, column {col}")
+        raise MissingValueError(f"{path}:{lineno}: empty cell in column {col}")
     try:
         value = float(cell)
     except ValueError:
-        raise NonNumericError(f"cell {cell!r} at row {row}, column {col} is not numeric") from None
+        raise NonNumericError(
+            f"{path}:{lineno}: cell {cell!r} in column {col} is not numeric") from None
     if not math.isfinite(value):
-        raise NonNumericError(f"cell {cell!r} at row {row}, column {col} is not finite")
+        raise NonNumericError(f"{path}:{lineno}: cell {cell!r} in column {col} is not finite")
     return value
 
 
@@ -129,25 +135,26 @@ def load_csv(path) -> Dataset:
     iff any of its feature cells is non-numeric. Class labels may be
     arbitrary strings; they are mapped to dense integer ids in order of
     first appearance. Feature cells must parse as finite reals and no cell
-    may be empty.
+    may be empty. An error names the file and its 1-based line and column,
+    blank lines counted.
     """
     path = Path(path)
     raw = path.read_text(encoding="utf-8")
-    rows = [line.strip() for line in raw.splitlines()]
-    rows = [line for line in rows if line]
-    if not rows:
+    # (file line number, cells) of every non-blank line
+    table = [(lineno, [cell.strip() for cell in line.strip().split(",")])
+             for lineno, line in enumerate(raw.splitlines(), start=1) if line.strip()]
+    if not table:
         raise EmptyDatasetError(f"{path} contains no rows")
 
-    table = [[cell.strip() for cell in line.split(",")] for line in rows]
-    width = len(table[0])
-    for i, cells in enumerate(table):
+    width = len(table[0][1])
+    for lineno, cells in table:
         if len(cells) != width:
             raise InconsistentArityError(
-                f"row {i} has {len(cells)} columns, expected {width}")
+                f"{path}:{lineno}: {len(cells)} columns, expected {width}")
     if width < 2:
-        raise EmptyDatasetError(f"{path} has no feature columns")
+        raise EmptyDatasetError(f"{path}:{table[0][0]}: no feature columns")
 
-    header = any(_header_evidence(cell) for cell in table[0][:-1])
+    header = any(_header_evidence(cell) for cell in table[0][1][:-1])
     data = table[1:] if header else table
     if not data:
         raise EmptyDatasetError(f"{path} contains a header but no data rows")
@@ -155,12 +162,12 @@ def load_csv(path) -> Dataset:
     m = len(data)
     features = np.empty((m, width - 1), dtype=np.float64)
     raw_labels = []
-    for i, cells in enumerate(data):
+    for i, (lineno, cells) in enumerate(data):
         for j, cell in enumerate(cells[:-1]):
-            features[i, j] = _parse_feature(cell, i, j)
+            features[i, j] = _parse_feature(cell, path, lineno, j + 1)
         label = cells[-1]
         if label == "":
-            raise MissingValueError(f"empty class cell at row {i}")
+            raise MissingValueError(f"{path}:{lineno}: empty class cell")
         raw_labels.append(label)
 
     class_labels: list[str] = []

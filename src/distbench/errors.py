@@ -16,6 +16,9 @@ class DomainViolationError(DistbenchError):
 class UnknownMetricError(DistbenchError, KeyError):
     """Requested abbreviation is not in the metric registry."""
 
+    # KeyError's str() is the repr of its argument; print the message bare
+    __str__ = Exception.__str__
+
 
 class MissingValueError(DistbenchError):
     """A CSV cell is empty."""

@@ -1,5 +1,6 @@
-"""Classifier evaluation: confusion matrices, macro scores, rank tables
-and the Wilcoxon rank-sum comparison used to contrast two metrics.
+"""Classifier evaluation: confusion matrices, macro scores, the one
+averaging rule of every table, rank tables and the Wilcoxon tests used to
+contrast two metrics.
 """
 
 from __future__ import annotations
@@ -7,7 +8,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -200,6 +201,24 @@ def wilcoxon_signed_rank(sample_a: Sequence[float], sample_b: Sequence[float]) -
     return _normal_two_sided(z)
 
 
+# -- Table averages ---------------------------------------------------------
+
+def mean(values: Collection[float]) -> float:
+    """The mean every table reports: ``math.fsum(values) / len(values)``.
+
+    ``fsum`` rounds the exact sum once, so neither the order of the values
+    nor the Python version can change a table.
+    """
+    return math.fsum(values) / len(values)
+
+
+def pstdev(values: Collection[float]) -> float:
+    """Population standard deviation about ``mean(values)``, its squares
+    summed by ``math.fsum``."""
+    centre = mean(values)
+    return math.sqrt(math.fsum((v - centre) ** 2 for v in values) / len(values))
+
+
 # -- Rank tables ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -223,13 +242,13 @@ def rank_distances(scores: Mapping[str, Sequence[float]]) -> list[RankRow]:
         values = list(values)
         if not values:
             raise LengthMismatchError(f"metric {metric!r} has no scores")
-        means[metric] = float(np.mean(values))
+        means[metric] = mean(values)
     ordered = sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))
     rows: list[RankRow] = []
-    for pos, (metric, mean) in enumerate(ordered):
-        if rows and abs(mean - rows[-1].mean) <= _RANK_TIE_TOL:
+    for pos, (metric, average) in enumerate(ordered):
+        if rows and abs(average - rows[-1].mean) <= _RANK_TIE_TOL:
             rank = rows[-1].rank
         else:
             rank = pos + 1
-        rows.append(RankRow(rank, metric, mean))
+        rows.append(RankRow(rank, metric, average))
     return rows

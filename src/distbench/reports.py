@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from pathlib import Path
 
 from .bench import RunRecord, SCORE_KINDS, per_dataset_means, summarize
 from .errors import ConfigError
-from .evaluation import ScoreTriple, rank_distances
+from .evaluation import ScoreTriple, mean, pstdev, rank_distances
 
 CSV_HEADER = "dataset,metric,noise_level,repetition,accuracy,precision,recall"
 
@@ -130,7 +129,7 @@ def level_stats_csv(records: list[RunRecord]) -> str:
     """Mean and standard deviation per (level, metric, score kind), as CSV.
 
     A row averages each dataset's mean and population standard deviation
-    over repetitions, summing datasets in name order."""
+    over repetitions."""
     grouped: dict[tuple[float, str, str], dict[str, list[float]]] = {}
     for rec in records:
         for kind in SCORE_KINDS:
@@ -138,11 +137,9 @@ def level_stats_csv(records: list[RunRecord]) -> str:
                 rec.dataset, []).append(rec.value(kind))
     lines = ["level,metric,kind,mean,stddev"]
     for (level, metric, kind), per_ds in sorted(grouped.items()):
-        groups = [values for _, values in sorted(per_ds.items())]
-        means = [sum(values) / len(values) for values in groups]
-        stds = [statistics.pstdev(values) for values in groups]
-        lines.append(f"{level!r},{metric},{kind},{sum(means) / len(means)!r},"
-                     f"{sum(stds) / len(stds)!r}")
+        means = [mean(values) for values in per_ds.values()]
+        stds = [pstdev(values) for values in per_ds.values()]
+        lines.append(f"{level!r},{metric},{kind},{mean(means)!r},{mean(stds)!r}")
     return "\n".join(lines) + "\n"
 
 

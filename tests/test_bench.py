@@ -20,7 +20,7 @@ from distbench import (
     summarize,
     top_metrics_from_summary,
 )
-from distbench.bench import _run_block, _noise_seed
+from distbench.bench import _run_block, _noise_seed, per_dataset_means
 from distbench.errors import ConfigError, UnknownMetricError
 from distbench.reports import (
     CSV_HEADER,
@@ -135,7 +135,6 @@ def test_noise_phase_records_and_rank_tables(tiny_config):
 
 
 def test_level_stats_csv_reads_back_as_the_records_aggregated(tiny_config, tmp_path):
-    import statistics
     from dataclasses import replace
     result = run_noise_phase(replace(tiny_config, noise_levels=(0.2, 0.5)),
                              top_metrics=("ED", "MD", "HasD"))
@@ -146,34 +145,77 @@ def test_level_stats_csv_reads_back_as_the_records_aggregated(tiny_config, tmp_p
     kinds = ("accuracy", "recall", "precision")
     keys = sorted({(rec.noise_level, rec.metric, kind) for rec in result.records for kind in kinds})
     assert [(float(level), metric, kind) for level, metric, kind, _m, _s in rows[1:]] == keys
+
+    def fmean(values):
+        return math.fsum(values) / len(values)
+
     for level, metric, kind, mean, stddev in rows[1:]:
-        # each dataset's repetitions, then the datasets in name order
+        # each dataset's repetitions, then the datasets, all averaged by fsum
         per_ds: dict[str, list[float]] = {}
         for rec in result.records:
             if (rec.noise_level, rec.metric) == (float(level), metric):
                 per_ds.setdefault(rec.dataset, []).append(rec.value(kind))
         assert sorted(per_ds) == ["alpha", "beta"]
-        groups = [per_ds[name] for name in sorted(per_ds)]
-        means = [sum(values) / len(values) for values in groups]
-        stds = [statistics.pstdev(values) for values in groups]
-        assert float(mean) == sum(means) / len(means), (level, metric, kind)
-        assert float(stddev) == sum(stds) / len(stds), (level, metric, kind)
+        means = [fmean(values) for values in per_ds.values()]
+        stds = [math.sqrt(fmean([(v - fmean(values)) ** 2 for v in values]))
+                for values in per_ds.values()]
+        assert float(mean) == fmean(means), (level, metric, kind)
+        assert float(stddev) == fmean(stds), (level, metric, kind)
 
 
-def test_tables_sum_datasets_in_name_order(tmp_path):
-    # the mean of 0.3, 0.2, 0.1 summed in that order is 0.19999999999999998,
-    # and 0.20000000000000004 in name order; every table sums in name order
+def test_tables_do_not_depend_on_the_order_of_the_records(tmp_path):
+    # the mean of 0.3, 0.2, 0.1 is 0.19999999999999998 by fsum in every
+    # order; sum() gives 0.20000000000000004 over the reversed records
     scores = {"c": 0.3, "b": 0.2, "a": 0.1}
     records = [RunRecord(name, metric, level, rep, ScoreTriple(value, value, value))
                for level in (0.0, 0.5) for name, value in scores.items()
                for metric in ("ED", "MD") for rep in range(2)]
     tables = {}
-    for order, listed in (("config", records), ("name", records[::-1])):
+    for order, listed in (("config", records), ("reversed", records[::-1])):
         emit_report(listed, tmp_path / order)
         tables[order] = {p.name: p.read_bytes() for p in (tmp_path / order).iterdir()}
     assert set(tables["config"]) == {"summary.md", "rank_tables.md", "level_stats.csv"}
-    assert tables["config"] == tables["name"]
-    assert b"0.5,ED,accuracy,0.20000000000000004,0.0\n" in tables["config"]["level_stats.csv"]
+    assert tables["config"] == tables["reversed"]
+    assert b"0.5,ED,accuracy,0.19999999999999998,0.0\n" in tables["config"]["level_stats.csv"]
+
+
+# repetition scores whose sum() depends on their order; ED and MD hold each
+# dataset's scores in opposite orders
+_GOLDEN_SCORES = {("ED", "a"): (0.1, 0.2, 0.3), ("ED", "b"): (0.1, 0.2, 0.4),
+                  ("MD", "a"): (0.3, 0.2, 0.1), ("MD", "b"): (0.4, 0.2, 0.1)}
+
+
+def _golden_records():
+    return [RunRecord(ds, metric, level, rep, ScoreTriple(v, v, v))
+            for level in (0.0, 0.5) for (metric, ds), values in _GOLDEN_SCORES.items()
+            for rep, v in enumerate(values)]
+
+
+def test_tables_average_every_score_by_fsum():
+    records = _golden_records()
+    per_ds = {"a": 0.19999999999999998, "b": 0.23333333333333336}
+    assert per_dataset_means(records, "accuracy", 0.5) == {"ED": per_ds, "MD": per_ds}
+    assert summary_markdown(records) == (
+        "# Mean scores per metric (noise level 0)\n"
+        "\n"
+        "| Metric | Accuracy | Recall | Precision |\n"
+        "| --- | --- | --- | --- |\n"
+        "| ED | 0.2167 | 0.2167 | 0.2167 |\n"
+        "| MD | 0.2167 | 0.2167 | 0.2167 |\n")
+    row = "0.21666666666666667,0.10318578549261867\n"
+    assert level_stats_csv(records) == "level,metric,kind,mean,stddev\n" + "".join(
+        f"{level},{metric},{kind},{row}" for level in ("0.0", "0.5") for metric in ("ED", "MD")
+        for kind in ("accuracy", "precision", "recall"))
+
+
+def test_compare_ties_metrics_whose_repetitions_are_reordered():
+    records = _golden_records()
+    for kind in ("accuracy", "recall", "precision"):
+        means = per_dataset_means(records, kind, 0.0)
+        assert means["ED"] == means["MD"]
+    for signed_rank in (False, True):
+        (row,) = compare_to_reference(records, "ED", ["MD"], signed_rank=signed_rank)
+        assert row.p_values == dict.fromkeys(("accuracy", "recall", "precision"), 1.0)
 
 
 def test_noise_phase_keeps_the_clean_phase_that_picked_its_metrics(tiny_config):
@@ -210,7 +252,7 @@ def test_noise_phase_rejects_a_repeated_metric(tiny_config):
 def test_an_empty_metric_list_is_refused(tiny_config):
     from dataclasses import replace
     with pytest.raises(ConfigError, match="no metrics"):
-        replace(tiny_config, metrics=()).validate()
+        replace(tiny_config, metrics=())
     with pytest.raises(ConfigError, match="no metrics"):
         run_noise_phase(replace(tiny_config, noise_levels=(0.3,)), top_metrics=())
     records = _records_for_compare(gap=0.05)
@@ -454,12 +496,22 @@ def test_config_errors(tmp_path):
 
 def test_config_validation():
     with pytest.raises(UnknownMetricError):
-        ExperimentConfig(datasets=("x.csv",), metrics=("NOPE",)).validate()
+        ExperimentConfig(datasets=("x.csv",), metrics=("NOPE",))
     with pytest.raises(ConfigError, match="more than once: ED"):
-        ExperimentConfig(datasets=("x.csv",), metrics=("ED", "ED", "MD")).validate()
+        ExperimentConfig(datasets=("x.csv",), metrics=("ED", "ED", "MD"))
     with pytest.raises(ConfigError):
-        ExperimentConfig(datasets=(), metrics=("ED",)).validate()
+        ExperimentConfig(datasets=(), metrics=("ED",))
     with pytest.raises(ConfigError):
-        ExperimentConfig(datasets=("x.csv",), noise_levels=(1.5,)).validate()
+        ExperimentConfig(datasets=("x.csv",), noise_levels=(1.5,))
     with pytest.raises(ConfigError):
-        ExperimentConfig(datasets=("x.csv",), test_fraction=1.0).validate()
+        ExperimentConfig(datasets=("x.csv",), test_fraction=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 0), ("repetitions", 0), ("top_n", 0), ("workers", 0), ("test_fraction", 0.0),
+    ("noise_levels", (0.0,)), ("metrics", ()), ("datasets", ()),
+])
+def test_a_config_is_checked_when_it_is_built(field, value):
+    cfg = ExperimentConfig(datasets=("x.csv",), metrics=("ED",))
+    with pytest.raises(ConfigError):
+        dataclasses.replace(cfg, **{field: value})

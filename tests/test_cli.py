@@ -195,6 +195,28 @@ def test_an_empty_metric_list_exits_nonzero(workspace, capsys, listed):
     assert "error: no metrics" in captured.err and not captured.out
 
 
+def test_metric_lists_on_the_command_line_parse_as_config_lists(workspace, capsys):
+    # '"ED", MD' is a CSV row, as the same value is in a config file
+    tmp_path, cfg = workspace
+    out = tmp_path / "noise"
+    assert main(["noise", "--config", str(cfg), "--metrics", '"ED", MD', "--out", str(out)]) == 0
+    records = read_records_csv(out / "noise_records.csv")
+    assert {r.metric for r in records} == {"ED", "MD"}
+    capsys.readouterr()
+    assert main(["compare", "--records", str(out / "noise_records.csv"), "--reference", "ED",
+                 "--noise-level", "0.1", "--metrics", '"MD"']) == 0
+    assert "| MD |" in capsys.readouterr().out
+
+
+def test_an_unknown_metric_is_named_without_extra_quotes(workspace, capsys):
+    tmp_path, cfg = workspace
+    main(["clean", "--config", str(cfg), "--out", str(tmp_path / "clean")])
+    capsys.readouterr()
+    assert main(["compare", "--records", str(tmp_path / "clean" / "records.csv"),
+                 "--reference", "NOPE"]) == 1
+    assert capsys.readouterr().err == "error: unknown metric 'NOPE'\n"
+
+
 def test_compare_with_only_the_reference_recorded_exits_nonzero(tmp_path, capsys):
     ds = make_blobs("one", 24, 3, (0.6, 0.4), spread=1.0, seed=0)
     cfg = write_config(tmp_path / "bench.cfg", [write_dataset_csv(ds, tmp_path / "one.csv")],

@@ -88,6 +88,20 @@ def test_inconsistent_arity(tmp_path):
         load_csv(_write(tmp_path, "1,2,A\n1,2,3,B\n"))
 
 
+@pytest.mark.parametrize("fourth, error, message", (
+    ("1,,B", MissingValueError, "empty cell in column 2"),
+    ("1,2,3,B", InconsistentArityError, "4 columns, expected 3"),
+    ("1,x,B", NonNumericError, "cell 'x' in column 2 is not numeric"),
+    ("1,2,", MissingValueError, "empty class cell"),
+))
+def test_load_errors_name_the_file_line(tmp_path, fourth, error, message):
+    # a header, a row, a blank line: the bad row is line 4 of the file
+    path = _write(tmp_path, f"a,b,label\n1,2,A\n\n{fourth}\n")
+    with pytest.raises(error) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}:4: {message}"
+
+
 def test_round_trip_identity(tmp_path):
     rng = np.random.default_rng(5)
     lines = []
@@ -112,6 +126,15 @@ def test_to_csv_refuses_a_label_that_would_not_read_back(tmp_path, label):
     ds = Dataset.from_arrays("d", [[1.0, 2.0], [3.0, 4.0]], [0, 1], ["ok", label])
     out = tmp_path / "out.csv"
     with pytest.raises(ConfigError, match="would not read back"):
+        ds.to_csv(out)
+    assert not out.exists()
+
+
+def test_to_csv_refuses_a_class_label_no_row_uses(tmp_path):
+    # load_csv learns the labels from the rows, so "c" would not come back
+    ds = Dataset.from_arrays("d", [[1.0], [2.0], [3.0]], [1, 0, 1], ["a", "b", "c"])
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="no row of dataset 'd' has the class label 'c'"):
         ds.to_csv(out)
     assert not out.exists()
 

@@ -19,8 +19,11 @@ from distbench import (Cell, Dataset, NoiseSpec, RunRecord, ScoreTriple,  # noqa
                        describe, evaluate, inject, list_metrics, pairwise, read_records_csv,
                        round_half_up, wilcoxon_rank_sum, wilcoxon_signed_rank,
                        write_records_csv)
+from distbench.bench import per_dataset_means  # noqa: E402
 from distbench.errors import ConfigError, DomainViolationError  # noqa: E402
 from distbench.metrics import kernels, registry  # noqa: E402
+from distbench.reports import (level_stats_csv, rank_tables_markdown,  # noqa: E402
+                               summary_markdown)
 
 from _reference import exact_rank_sum_pvalue  # noqa: E402
 from test_engine import _bits, _outcome, _reference  # noqa: E402
@@ -274,3 +277,34 @@ def test_signed_rank_p_follows_from_a_brute_force_statistic(samples):
     z = (abs(w_plus - n * (n + 1) / 4) - 0.5) / math.sqrt(n * (n + 1) * (2 * n + 1) / 24)
     want = min(1.0, math.erfc(z / math.sqrt(2.0)))
     assert wilcoxon_signed_rank(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# a score as a fraction of test examples, or any score in [0, 1]
+table_scores = st.one_of(st.integers(0, 60).map(lambda c: c / 60), st.floats(0.0, 1.0))
+
+
+@st.composite
+def cell_repetitions(draw):
+    """(scores, the same scores with each cell's repetitions permuted),
+    where a cell is a (dataset, metric, noise level)."""
+    datasets = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    reps = st.lists(table_scores, min_size=2, max_size=6)
+    scores = {(ds, metric, level): draw(reps)
+              for ds in datasets for metric in ("ED", "MD") for level in (0.0, 0.5)}
+    return scores, {cell: draw(st.permutations(values)) for cell, values in scores.items()}
+
+
+def _tables(scores):
+    records = [RunRecord(ds, metric, level, rep, ScoreTriple(v, 1.0 - v, v / 3))
+               for (ds, metric, level), values in scores.items()
+               for rep, v in enumerate(values)]
+    return (summary_markdown(records), rank_tables_markdown(records), level_stats_csv(records),
+            [per_dataset_means(records, kind, level)
+             for kind in ("accuracy", "recall", "precision") for level in (0.0, 0.5)])
+
+
+@settings(max_examples=100)
+@given(cell_repetitions())
+def test_permuting_each_cells_repetitions_leaves_every_table_unchanged(case):
+    scores, permuted = case
+    assert _tables(scores) == _tables(permuted)
