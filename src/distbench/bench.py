@@ -71,6 +71,7 @@ class ExperimentConfig:
         for level in self.noise_levels:
             if not 0.0 < level < 1.0:
                 raise ConfigError(f"noise level {level} outside (0, 1)")
+        _check_once("noise level", self.noise_levels)
         if self.top_n < 1:
             raise ConfigError("top_n must be positive")
         if self.workers < 1:
@@ -78,14 +79,19 @@ class ExperimentConfig:
 
 
 def _check_metrics(metrics: tuple[str, ...]) -> None:
-    """At least one metric is listed, each registered and listed once so no record repeats."""
+    """At least one metric is listed, each registered and listed once."""
     if not metrics:
         raise ConfigError("no metrics configured")
     for abbrev in metrics:
         describe(abbrev)  # raises UnknownMetricError
-    repeated = sorted({abbrev for abbrev in metrics if metrics.count(abbrev) > 1})
+    _check_once("metric", metrics)
+
+
+def _check_once(what: str, items: tuple) -> None:
+    """Refuse an item listed twice, whose records would repeat."""
+    repeated = sorted({item for item in items if items.count(item) > 1})
     if repeated:
-        raise ConfigError(f"metric listed more than once: {', '.join(repeated)}")
+        raise ConfigError(f"{what} listed more than once: {', '.join(map(str, repeated))}")
 
 
 # a line up to its first "#" outside double quotes, so a quoted item may hold one
@@ -152,6 +158,12 @@ class RunRecord:
     noise_level: float
     repetition: int
     scores: ScoreTriple
+
+    def __post_init__(self):
+        if not 0.0 <= self.noise_level < 1.0:
+            raise ValueError(f"noise level {self.noise_level} outside [0, 1)")
+        if self.repetition < 0:
+            raise ValueError(f"repetition {self.repetition} is negative")
 
     def value(self, kind: str) -> float:
         return getattr(self.scores, kind)

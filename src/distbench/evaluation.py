@@ -6,8 +6,8 @@ contrast two metrics.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -86,28 +86,27 @@ def score(cm: ConfusionMatrix) -> ScoreTriple:
 
 # -- Wilcoxon tests ---------------------------------------------------------
 
-def _rankdata(values: Sequence[float]) -> list[float]:
-    """Ranks starting at 1; tied values share the average of their ranks."""
-    order = sorted(range(len(values)), key=values.__getitem__)
+def _ranks(values: Sequence[float]) -> tuple[list[float], int]:
+    """Ranks starting at 1, tied values sharing the mean of their ranks, and
+    the tie sum: t**3 - t summed over the sizes t of the groups of equal values."""
     ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for idx in order[i:j + 1]:
-            ranks[idx] = avg
-        i = j + 1
-    return ranks
+    ties = below = 0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for _, group in groupby(order, key=values.__getitem__):
+        group = list(group)
+        for idx in group:
+            ranks[idx] = below + (len(group) + 1) / 2.0
+        below += len(group)
+        ties += len(group) ** 3 - len(group)
+    return ranks, ties
 
 
-def _tie_sum(values: Sequence[float]) -> int:
-    """Sum of t**3 - t over the sizes t of the groups of equal values."""
-    return sum(t ** 3 - t for t in Counter(values).values())
-
-
-def _normal_two_sided(z: float) -> float:
+def _normal_pvalue(statistic: float, mu: float, var: float) -> float:
+    """Two-sided p of ``statistic`` under a normal null of mean ``mu`` and
+    variance ``var``, corrected for continuity; p = 1.0 when var is 0."""
+    if var == 0.0:
+        return 1.0
+    z = (abs(statistic - mu) - 0.5) / math.sqrt(var)
     return min(1.0, max(0.0, math.erfc(z / math.sqrt(2.0))))
 
 
@@ -135,24 +134,6 @@ def _exact_rank_sum_pvalue(t_obs: int, n1: int, n2: int) -> float:
     return min(1.0, 2.0 * min(low, high) / total)
 
 
-def _normal_rank_sum_pvalue(r1: float, n1: int, n2: int, ties: int) -> float:
-    """Two-sided p for a rank sum ``r1`` of sample one by the normal approximation.
-
-    ``ties`` is the pool's sum of t**3 - t over its groups of tied values;
-    the variance is corrected for it, and the statistic for continuity. A
-    pool of one repeated value gives p = 1.0.
-    """
-    n = n1 + n2
-    u1 = r1 - n1 * (n1 + 1) / 2.0
-    u2 = n1 * n2 - u1
-    tie = 1.0 - ties / (n ** 3 - n)
-    if tie == 0.0:
-        return 1.0
-    sd = math.sqrt(tie * n1 * n2 * (n + 1) / 12.0)
-    z = (max(u1, u2) - n1 * n2 / 2.0 - 0.5) / sd
-    return _normal_two_sided(z)
-
-
 _EXACT_LIMIT = 20  # pooled size up to which the untied null is enumerated
 
 
@@ -168,13 +149,14 @@ def wilcoxon_rank_sum(sample_a: Sequence[float], sample_b: Sequence[float]) -> f
     b = [float(v) for v in sample_b]
     if not a or not b:
         raise LengthMismatchError("both samples must be non-empty")
-    pooled = a + b
-    n1, n2 = len(a), len(b)
-    r1 = sum(_rankdata(pooled)[:n1])
-    ties = _tie_sum(pooled)
-    if not ties and len(pooled) <= _EXACT_LIMIT:
+    n1, n2, n = len(a), len(b), len(a) + len(b)
+    ranks, ties = _ranks(a + b)
+    r1 = sum(ranks[:n1])
+    if not ties and n <= _EXACT_LIMIT:
         return _exact_rank_sum_pvalue(int(round(r1)), n1, n2)
-    return _normal_rank_sum_pvalue(r1, n1, n2, ties)
+    # the Mann-Whitney U of sample one, with the tie-corrected variance of U
+    var = (1.0 - ties / (n ** 3 - n)) * n1 * n2 * (n + 1) / 12.0
+    return _normal_pvalue(r1 - n1 * (n1 + 1) / 2.0, n1 * n2 / 2.0, var)
 
 
 def wilcoxon_signed_rank(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
@@ -191,14 +173,11 @@ def wilcoxon_signed_rank(sample_a: Sequence[float], sample_b: Sequence[float]) -
     n = len(diffs)
     if n == 0:
         return 1.0
-    magnitudes = [abs(d) for d in diffs]
-    ranks = _rankdata(magnitudes)
+    ranks, ties = _ranks([abs(d) for d in diffs])
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    mu = n * (n + 1) / 4.0
     # the tie sum is at most n**3 - n, so var >= n(n + 1)(3n + 3) / 48 > 0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_sum(magnitudes) / 48.0
-    z = (abs(w_plus - mu) - 0.5) / math.sqrt(var)
-    return _normal_two_sided(z)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
+    return _normal_pvalue(w_plus, n * (n + 1) / 4.0, var)
 
 
 # -- Table averages ---------------------------------------------------------

@@ -8,7 +8,6 @@ among the tied classes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,30 +57,32 @@ def _distances(model: KnnModel, queries, ndim: int,
 
 
 def _nearest(model: KnnModel, dist: np.ndarray) -> np.ndarray:
-    """Indices of the k nearest training rows, ascending by (distance, index)."""
-    return np.lexsort((np.arange(len(dist)), dist))[:model.k]
+    """Indices of the k nearest in each row of distances, ascending by (distance, index)."""
+    return np.argsort(dist, axis=1, kind="stable")[:, :model.k]
 
 
-def _vote(model: KnnModel, dist: np.ndarray) -> int:
-    """Majority class among the k nearest; ties go to the nearest tied class."""
-    near = [int(model.labels[i]) for i in _nearest(model, dist)]
-    votes = Counter(near)
-    top = max(votes.values())
-    return next(cls for cls in near if votes[cls] == top)
+def _predict(model: KnnModel, dist: np.ndarray) -> np.ndarray:
+    """Majority class of the k nearest in each row; a vote tie goes to the nearest tied class."""
+    if model.k == 1:  # argmin takes the lowest index on ties
+        return model.labels[np.argmin(dist, axis=1)]
+    near = model.labels[_nearest(model, dist)]
+    classes, dense = np.unique(near, return_inverse=True)
+    # one counter per (query row, class); argmax then takes the first, so the
+    # nearest, neighbour of a top class
+    slot = dense.reshape(near.shape) + len(classes) * np.arange(len(near))[:, None]
+    votes = np.bincount(slot.ravel())[slot]
+    return near[np.arange(len(near)), np.argmax(votes, axis=1)]
 
 
 def neighbors(model: KnnModel, query) -> list[Neighbor]:
     """The k nearest training examples, ascending by (distance, index)."""
-    dist = _distances(model, query, 1)
-    return [Neighbor(int(i), float(dist[i])) for i in _nearest(model, dist)]
+    dist = _distances(model, query, 1)[None]
+    return [Neighbor(int(i), float(dist[0, i])) for i in _nearest(model, dist)[0]]
 
 
 def classify(model: KnnModel, query) -> int:
     """Majority class among the k nearest neighbors."""
-    dist = _distances(model, query, 1)
-    if model.k == 1:  # argmin takes the lowest index on ties
-        return int(model.labels[np.argmin(dist)])
-    return _vote(model, dist)
+    return int(_predict(model, _distances(model, query, 1)[None])[0])
 
 
 def classify_batch(model: KnnModel, queries, cell: Cell | None = None) -> np.ndarray:
@@ -91,7 +92,4 @@ def classify_batch(model: KnnModel, queries, cell: Cell | None = None) -> np.nda
     training features are the cell's rows; the metrics of the cell then
     share the block's pair terms. It changes no result.
     """
-    dist = _distances(model, queries, 2, cell)
-    if model.k == 1:  # argmin takes the lowest index on ties
-        return model.labels[np.argmin(dist, axis=1)]
-    return np.array([_vote(model, row) for row in dist], dtype=np.int64)
+    return _predict(model, _distances(model, queries, 2, cell))

@@ -7,8 +7,9 @@ holds a comma, a quote or a line feed reads back intact and any other
 name is written bare. A name that would not read back is refused: the
 writer leaves a carriage return unquoted, Python 3.10's reader rejects
 NUL, and the reader refuses a field longer than
-``csv.field_size_limit()``. Markdown tables round to four decimals,
-matching the usual presentation of accuracy results.
+``csv.field_size_limit()``. Both refuse a second record of one (dataset,
+metric, noise level, repetition). Markdown tables round to four
+decimals, matching the usual presentation of accuracy results.
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ from .evaluation import ScoreTriple, mean, pstdev, rank_distances
 CSV_HEADER = "dataset,metric,noise_level,repetition,accuracy,precision,recall"
 
 
+def _key(rec: RunRecord) -> tuple:
+    return rec.dataset, rec.metric, rec.noise_level, rec.repetition
+
+
 def _sorted_records(records: list[RunRecord]) -> list[RunRecord]:
-    return sorted(records, key=lambda r: (r.dataset, r.metric, r.noise_level, r.repetition))
+    return sorted(records, key=_key)
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
@@ -38,6 +43,9 @@ def records_to_csv(records: list[RunRecord]) -> str:
         if "\r" in name or "\0" in name:
             raise ConfigError(f"a records CSV cannot hold the name {name!r}: "
                               f"it would not read back")
+    if len({_key(rec) for rec in records}) < len(records):
+        raise ConfigError("a records CSV cannot hold a (dataset, metric, noise level, "
+                          "repetition) twice: it would not read back")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
@@ -71,23 +79,25 @@ def read_records_csv(path) -> list[RunRecord]:
         raise ConfigError(f"{path} is not a readable records CSV: {exc}") from exc
     if not rows or rows[0] != CSV_HEADER.split(","):
         raise ConfigError(f"{path} is not a records CSV (bad header)")
-    records = []
+    records: dict[tuple, RunRecord] = {}
     for lineno, cells in enumerate(rows[1:], start=2):
         if not "".join(cells).strip():
             continue
         if len(cells) != 7:
             raise ConfigError(f"{path}:{lineno}: expected 7 fields, got {len(cells)}")
         try:
-            records.append(RunRecord(
+            rec = RunRecord(
                 dataset=cells[0],
                 metric=cells[1],
                 noise_level=float(cells[2]),
                 repetition=int(cells[3]),
                 scores=ScoreTriple(float(cells[4]), float(cells[5]), float(cells[6])),
-            ))
+            )
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return records
+        if records.setdefault(_key(rec), rec) is not rec:
+            raise ConfigError(f"{path}:{lineno}: a second record of {_key(rec)}")
+    return list(records.values())
 
 
 def summary_markdown(records: list[RunRecord]) -> str:

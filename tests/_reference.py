@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own numeric paths:
 the distance references run on decimal arithmetic at 50 significant
 digits, the rank-sum oracle enumerates every assignment by brute force,
-and the macro-average reference is a plain loop over label lists.
+the neighbour and vote references decide one query row at a time with
+``lexsort`` and a ``Counter``, the normal-approximation references rank
+with ``midranks`` and count ties with a ``Counter``, and the
+macro-average reference is a plain loop over label lists.
 
 The guard references at the end are the straightforward full-array
 forms of the kernels' guard helpers, written with ``np.where``; the
@@ -11,6 +14,8 @@ kernels' helpers substitute only the flagged positions and must agree
 with them bit for bit.
 """
 
+import math
+from collections import Counter
 from decimal import Decimal, getcontext
 from itertools import combinations
 
@@ -135,6 +140,58 @@ def exact_rank_sum_pvalue(sample_a, sample_b):
         if abs(sum(ranks[i] for i in subset) - mean) >= threshold:
             hits += 1
     return hits / total
+
+
+def tie_sum_ref(values):
+    """Sum of t**3 - t over the sizes t of the groups of equal values."""
+    return sum(t ** 3 - t for t in Counter(values).values())
+
+
+def _two_sided_ref(z):
+    return min(1.0, max(0.0, math.erfc(z / math.sqrt(2.0))))
+
+
+def normal_rank_sum_pvalue_ref(sample_a, sample_b):
+    """Two-sided rank-sum p by the normal approximation: the larger of the
+    two Mann-Whitney U values, the tie-corrected variance and a continuity
+    correction; a pool of one repeated value gives 1.0."""
+    pooled = [float(v) for v in (*sample_a, *sample_b)]
+    n1, n2 = len(sample_a), len(sample_b)
+    n = n1 + n2
+    u1 = sum(midranks(pooled)[:n1]) - n1 * (n1 + 1) / 2.0
+    u2 = n1 * n2 - u1
+    tie = 1.0 - tie_sum_ref(pooled) / (n ** 3 - n)
+    if tie == 0.0:
+        return 1.0
+    sd = math.sqrt(tie * n1 * n2 * (n + 1) / 12.0)
+    return _two_sided_ref((max(u1, u2) - n1 * n2 / 2.0 - 0.5) / sd)
+
+
+def signed_rank_pvalue_ref(sample_a, sample_b):
+    """Two-sided signed-rank p by the normal approximation, zero differences
+    dropped, with the tie-corrected variance and a continuity correction."""
+    diffs = [float(x) - float(y) for x, y in zip(sample_a, sample_b) if float(x) != float(y)]
+    n = len(diffs)
+    if n == 0:
+        return 1.0
+    magnitudes = [abs(d) for d in diffs]
+    w_plus = sum(r for r, d in zip(midranks(magnitudes), diffs) if d > 0)
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_sum_ref(magnitudes) / 48.0
+    return _two_sided_ref((abs(w_plus - n * (n + 1) / 4.0) - 0.5) / math.sqrt(var))
+
+
+def nearest_ref(dist, k):
+    """Indices of the k nearest in one row of distances, ascending by (distance, index)."""
+    return np.lexsort((np.arange(len(dist)), dist))[:k]
+
+
+def vote_ref(labels, dist, k):
+    """The majority class among the k nearest in one row of distances; a vote
+    tie goes to the nearest of the tied classes."""
+    near = [int(labels[i]) for i in nearest_ref(dist, k)]
+    votes = Counter(near)
+    top = max(votes.values())
+    return next(cls for cls in near if votes[cls] == top)
 
 
 def macro_scores_ref(actual, predicted, n_classes):

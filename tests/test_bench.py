@@ -369,6 +369,29 @@ def test_records_csv_schema(tmp_path):
     assert lines[1].split(",") == ["d", "ED", "0.1", "0", "0.5", "0.25", "0.75"]
 
 
+@pytest.mark.parametrize("second, message", [
+    ("t,ED,0.0,0,1.0,1.0,1.0", r":3: a second record of \('t', 'ED', 0.0, 0\)"),
+    ("t,ED,nan,1,1.0,1.0,1.0", r":3: noise level nan outside \[0, 1\)"),
+    ("t,ED,1.0,1,1.0,1.0,1.0", r":3: noise level 1.0 outside \[0, 1\)"),
+    ("t,ED,0.0,-3,1.0,1.0,1.0", ":3: repetition -3 is negative"),
+])
+def test_records_csv_refuses_rows_the_writer_never_writes(second, message, tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(f"{CSV_HEADER}\nt,ED,0.0,0,0.0,0.0,0.0\n{second}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        read_records_csv(path)
+
+
+def test_records_csv_writer_refuses_a_repeated_record(tmp_path):
+    record = RunRecord("t", "ED", 0.0, 0, ScoreTriple(0.5, 0.5, 0.5))
+    again = dataclasses.replace(record, scores=ScoreTriple(1.0, 1.0, 1.0))
+    with pytest.raises(ConfigError, match=r"noise level, repetition\) twice"):
+        write_records_csv([record, again], tmp_path / "out" / "records.csv")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="repetition -1 is negative"):
+        dataclasses.replace(record, repetition=-1)
+
+
 def test_empty_records_csv_is_header_only(tmp_path):
     assert records_to_csv([]) == CSV_HEADER + "\n"
 

@@ -110,6 +110,16 @@ def test_noise_subcommand_published_top(tmp_path):
     assert len({r.metric for r in records}) == 13
 
 
+def test_a_repeated_noise_level_exits_nonzero(tmp_path, capsys):
+    ds = make_blobs("tiny", 24, 3, (0.6, 0.4), spread=0.8, seed=4)
+    csv_path = write_dataset_csv(ds, tmp_path / "tiny.csv")
+    cfg = write_config(tmp_path / "bench.cfg", [csv_path], noise_levels="0.3, 0.30")
+    out = tmp_path / "out"
+    assert main(["noise", "--config", str(cfg), "--metrics", "ED", "--out", str(out)]) == 1
+    assert "noise level listed more than once: 0.3" in capsys.readouterr().err
+    assert not (out / "noise_records.csv").exists()
+
+
 def test_two_files_under_one_dataset_name_exit_nonzero(tmp_path, capsys):
     paths = []
     for i, folder in enumerate(("a", "b")):
@@ -285,6 +295,17 @@ def test_bad_records_file_exits_nonzero(tmp_path, capsys):
     assert main(["report", "--records", str(bad), "--format", "csv",
                  "--out", str(tmp_path / "o")]) == 1
     assert "is not a readable records CSV: field larger than field limit" in capsys.readouterr().err
+
+
+def test_a_repeated_record_exits_nonzero(tmp_path, capsys):
+    # one record twice, so no table may average the two
+    bad = tmp_path / "twice.csv"
+    bad.write_text(CSV_HEADER + "\nt,ED,0.0,0,0.0,0.0,0.0\nt,ED,0.0,0,1.0,1.0,1.0\n",
+                   encoding="utf-8")
+    assert main(["report", "--records", str(bad), "--format", "markdown",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert f"{bad}:3: a second record of ('t', 'ED', 0.0, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "summary.md").exists()
 
 
 def test_module_entry_point(workspace):

@@ -9,10 +9,10 @@ from distbench import (Cell, ExperimentConfig, KnnModel, SplitPlan, classify, cl
                        describe, list_metrics, pairwise, split)
 from distbench.bench import _run_block, _split_seed
 from distbench.errors import DimensionMismatchError, DomainViolationError
-from distbench.knn import _vote
 from distbench.metrics import CoreKernel, kernels, registry
 from distbench.metrics.kernels import PairTerms
 
+from _reference import vote_ref
 from conftest import make_blobs
 
 DIMENSIONS = (1, 4, 13, 16, 60)
@@ -246,7 +246,7 @@ def test_core_store_changes_no_distance(metrics, monkeypatch):
                 if isinstance(expected, tuple):
                     continue
                 model = KnnModel(rows, labels, describe(abbrev), k=3)
-                votes = [_vote(model, row) for row in expected.view(np.float64)]
+                votes = [vote_ref(labels, row, 3) for row in expected.view(np.float64)]
                 assert classify_batch(model, block, cell).tolist() == votes, (abbrev, n)
         assert start == len(queries) and cell.block is None
 

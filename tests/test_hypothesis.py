@@ -15,17 +15,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from distbench import (Cell, Dataset, NoiseSpec, RunRecord, ScoreTriple,  # noqa: E402
-                       describe, evaluate, inject, list_metrics, pairwise, read_records_csv,
-                       round_half_up, wilcoxon_rank_sum, wilcoxon_signed_rank,
-                       write_records_csv)
+from distbench import (Cell, Dataset, KnnModel, NoiseSpec, RunRecord,  # noqa: E402
+                       ScoreTriple, classify, classify_batch, describe, evaluate, inject,
+                       list_metrics, neighbors, pairwise, read_records_csv, round_half_up,
+                       wilcoxon_rank_sum, wilcoxon_signed_rank, write_records_csv)
 from distbench.bench import per_dataset_means  # noqa: E402
 from distbench.errors import ConfigError, DomainViolationError  # noqa: E402
 from distbench.metrics import kernels, registry  # noqa: E402
 from distbench.reports import (level_stats_csv, rank_tables_markdown,  # noqa: E402
                                summary_markdown)
 
-from _reference import exact_rank_sum_pvalue  # noqa: E402
+from _reference import (exact_rank_sum_pvalue, nearest_ref,  # noqa: E402
+                        normal_rank_sum_pvalue_ref, signed_rank_pvalue_ref, tie_sum_ref,
+                        vote_ref)
 from test_engine import _bits, _outcome, _reference  # noqa: E402
 
 settings.register_profile("distbench", derandomize=True, max_examples=200, deadline=None,
@@ -178,7 +180,9 @@ def test_records_csv_reads_back_every_name_or_writes_nothing(rows):
         try:
             write_records_csv(records, path)
         except ConfigError:
-            assert any(char in rec.dataset + rec.metric for rec in records for char in "\r\0")
+            keys = {(rec.dataset, rec.metric, rec.repetition) for rec in records}
+            assert len(keys) < len(records) or any(
+                char in rec.dataset + rec.metric for rec in records for char in "\r\0")
             assert not path.parent.exists()
             return
         key = lambda r: (r.dataset, r.metric, r.noise_level, r.repetition)  # noqa: E731
@@ -254,6 +258,17 @@ def test_signed_rank_is_the_same_with_the_samples_swapped(pairs):
     assert wilcoxon_signed_rank(a, b) == wilcoxon_signed_rank(b, a)
 
 
+# signed zeros as well, which tie with 0.0 and drop out as zero differences
+@settings(max_examples=200)
+@given(st.lists(st.one_of(tied_values, st.just(-0.0)), min_size=1, max_size=25),
+       st.lists(st.one_of(tied_values, st.just(-0.0)), min_size=1, max_size=25))
+def test_normal_paths_match_the_midrank_and_counter_references(a, b):
+    m = min(len(a), len(b))
+    assert wilcoxon_signed_rank(a[:m], b[:m]) == signed_rank_pvalue_ref(a[:m], b[:m])
+    if tie_sum_ref(a + b) or len(a) + len(b) > 20:   # the pools the normal path takes
+        assert wilcoxon_rank_sum(a, b) == normal_rank_sum_pvalue_ref(a, b)
+
+
 @st.composite
 def untied_differences(draw):
     """Paired samples whose differences are non-zero and distinct in magnitude."""
@@ -277,6 +292,32 @@ def test_signed_rank_p_follows_from_a_brute_force_statistic(samples):
     z = (abs(w_plus - n * (n + 1) / 4) - 0.5) / math.sqrt(n * (n + 1) * (2 * n + 1) / 24)
     want = min(1.0, math.erfc(z / math.sqrt(2.0)))
     assert wilcoxon_signed_rank(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def tied_knn_cases(draw):
+    """A model and its queries on a grid of three values, so ties in distance
+    and in the vote are common, with any k."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    grid = st.integers(0, 2).map(float)
+    feats = draw(hnp.arrays(np.float64, (m, n), elements=grid))
+    queries = draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), n), elements=grid))
+    labels = draw(hnp.arrays(np.int64, m, elements=st.integers(0, 3)))
+    metric = draw(st.sampled_from(("ED", "MD", "HasD", "CD")))
+    return KnnModel(feats, labels, describe(metric), draw(st.integers(1, m))), queries
+
+
+@settings(max_examples=200)
+@given(tied_knn_cases())
+def test_knn_agrees_with_the_scalar_neighbour_and_vote_rule(case):
+    model, queries = case
+    dist = pairwise(model.metric, queries, model.features)
+    want = [vote_ref(model.labels, row, model.k) for row in dist]
+    assert classify_batch(model, queries).tolist() == want
+    for query, row, label in zip(queries, dist, want):
+        assert classify(model, query) == label
+        assert [(nb.index, nb.distance) for nb in neighbors(model, query)] == [
+            (int(i), float(row[i])) for i in nearest_ref(row, model.k)]
 
 
 # a score as a fraction of test examples, or any score in [0, 1]

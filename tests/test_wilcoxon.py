@@ -5,7 +5,7 @@ import pytest
 
 from distbench import wilcoxon_rank_sum, wilcoxon_signed_rank
 from distbench.errors import LengthMismatchError
-from distbench.evaluation import _normal_rank_sum_pvalue
+from distbench.evaluation import _normal_pvalue
 
 from _reference import exact_rank_sum_pvalue
 
@@ -26,8 +26,8 @@ def test_fully_separated_small_samples():
     assert oracle == pytest.approx(2.0 / 252.0, abs=1e-12)
     # an untied pool of 10 enumerates the same null distribution
     assert wilcoxon_rank_sum(a, b) == pytest.approx(oracle, abs=1e-12)
-    # the normal approximation (rank sum 15, no ties) stays within the documented 0.03
-    approx_p = _normal_rank_sum_pvalue(15.0, 5, 5, 0)
+    # the normal approximation (rank sum 15, so U = 0, no ties) stays within the documented 0.03
+    approx_p = _normal_pvalue(0.0, 5 * 5 / 2.0, 1.0 * 5 * 5 * 11 / 12.0)
     assert approx_p == pytest.approx(0.01219, abs=1e-4)
     assert abs(approx_p - oracle) <= 0.03
 
@@ -78,9 +78,10 @@ def test_exact_method_enumerates_every_arrangement():
 
 
 def test_asymptotic_handles_ties():
-    # the ties select the normal approximation: rank sum 8, tie sum (27 - 3) + (8 - 2)
+    # the ties select the normal approximation: rank sum 8, so U = 2, and
+    # tie sum (27 - 3) + (8 - 2) in the variance of U
     p = wilcoxon_rank_sum([1.0, 1.0, 2.0], [1.0, 3.0, 3.0])
-    assert p == _normal_rank_sum_pvalue(8.0, 3, 3, 30)
+    assert p == _normal_pvalue(2.0, 3 * 3 / 2.0, (1.0 - 30 / 210) * 3 * 3 * 7 / 12.0)
     assert 0.0 <= p <= 1.0
 
 
