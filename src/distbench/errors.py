@@ -25,7 +25,8 @@ class MissingValueError(DistbenchError):
 
 
 class NonNumericError(DistbenchError):
-    """A CSV feature cell does not parse as a finite real number."""
+    """A value is not the number it must be: a CSV feature cell that does not
+    parse as a finite real number, or a Wilcoxon sample value that is NaN."""
 
 
 class EmptyDatasetError(DistbenchError):

@@ -12,7 +12,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ClassOutOfRangeError, LengthMismatchError
+from .errors import ClassOutOfRangeError, LengthMismatchError, NonNumericError
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,14 @@ def _exact_rank_sum_pvalue(t_obs: int, n1: int, n2: int) -> float:
 _EXACT_LIMIT = 20  # pooled size up to which the untied null is enumerated
 
 
+def _sample(values: Sequence[float], name: str) -> list[float]:
+    """``values`` as floats; a NaN, which no order ranks, is refused."""
+    sample = [float(v) for v in values]
+    if any(math.isnan(v) for v in sample):
+        raise NonNumericError(f"{name} holds NaN")
+    return sample
+
+
 def wilcoxon_rank_sum(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
     """Two-sided Mann-Whitney/Wilcoxon rank-sum p-value.
 
@@ -144,9 +152,9 @@ def wilcoxon_rank_sum(sample_a: Sequence[float], sample_b: Sequence[float]) -> f
     enumerates the null distribution of the rank sum exactly; any other
     pool takes the normal approximation with tie and continuity
     corrections. Degenerate pools (every value identical) return p = 1.0.
+    A sample holding NaN raises NonNumericError.
     """
-    a = [float(v) for v in sample_a]
-    b = [float(v) for v in sample_b]
+    a, b = _sample(sample_a, "sample_a"), _sample(sample_b, "sample_b")
     if not a or not b:
         raise LengthMismatchError("both samples must be non-empty")
     n1, n2, n = len(a), len(b), len(a) + len(b)
@@ -164,9 +172,9 @@ def wilcoxon_signed_rank(sample_a: Sequence[float], sample_b: Sequence[float]) -
 
     Zero differences are dropped; the normal approximation with tie and
     continuity corrections is used. All-zero differences give p = 1.0.
+    A sample holding NaN raises NonNumericError.
     """
-    a = [float(v) for v in sample_a]
-    b = [float(v) for v in sample_b]
+    a, b = _sample(sample_a, "sample_a"), _sample(sample_b, "sample_b")
     if len(a) != len(b) or not a:
         raise LengthMismatchError("paired samples must be non-empty and equal length")
     diffs = [x - y for x, y in zip(a, b) if x != y]

@@ -27,13 +27,16 @@ A PairTerms computes each elementwise term (x - y, min(x, y), ...) and
 each shared core once per query block of a registry.Cell, and each term
 of y alone (ROW_TERMS) once per cell, in the store its blocks share.
 
-Division by zero and logs of non-positive arguments follow one rule: a
-term whose numerator (or log coefficient) is zero contributes 0, and
-otherwise the zero denominator or non-positive log argument is replaced
-by EPSILON, in ``_div`` and ``_log`` alone. Only exact zeros are
-replaced, so a denominator such as 5e-324 can still overflow to inf;
-``evaluate``, ``pairwise`` and the registry's Cell refuse a non-finite
-distance with DomainViolationError.
+Division by zero and logs of non-positive arguments follow one rule: the
+zero denominator or non-positive log argument is replaced by EPSILON, in
+``_div`` and ``_log`` alone. A zero numerator (or log coefficient) so
+gives a zero of its own sign, which no distance tells apart: every sum
+ends in ``+ 0.0``, and every other consumer squares the term, takes its
+absolute value or passes it to ``_log``. Only exact zeros are replaced,
+so a denominator such as 5e-324 can still overflow to inf, and a zero
+coefficient times an infinite or NaN log is NaN; ``evaluate``,
+``pairwise`` and the registry's Cell refuse a non-finite distance with
+DomainViolationError.
 """
 
 from __future__ import annotations
@@ -49,19 +52,15 @@ def _div(num, den):
     """num / den, with EPSILON in place of each zero denominator.
 
     A copy of the denominator holds EPSILON at each zero, so one division
-    gives every term, and one masked pass adds 0.0 at only the flagged
-    positions, so a zero numerator of either sign gives +0.0.
+    gives every term; a zero numerator gives a zero of its own sign.
     """
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     bad = den == 0.0
-    if not bad.any():
-        return num / den
-    safe = den.copy()
-    safe[bad] = EPSILON
-    out = np.asarray(num / safe)
-    np.add(out, 0.0, out=out, where=bad)
-    return out
+    if bad.any():
+        den = den.copy()
+        den[bad] = EPSILON
+    return num / den
 
 
 def _log(arg):
@@ -78,14 +77,8 @@ def _log(arg):
 
 
 def _xlog(coef, arg):
-    """coef * ln(arg), with EPSILON in place of each non-positive argument;
-    zero coefficients contribute 0."""
-    coef = np.asarray(coef, dtype=np.float64)
-    term = np.asarray(coef * _log(arg))
-    zero = coef == 0.0
-    if zero.any():
-        np.copyto(term, 0.0, where=zero)
-    return term
+    """coef * ln(arg), with EPSILON in place of each non-positive argument."""
+    return coef * _log(arg)
 
 
 def _frozen(value):
@@ -234,6 +227,10 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "abs_diff": lambda t: np.abs(t.diff),
     "sq_diff": lambda t: np.square(t.diff),
     "sq_sum": lambda t: np.square(t.xf) + np.square(t.yf),
+    "mid": lambda t: 0.5 * t.sum,                                     # JDD, TanD, CSSD
+    "sqrt_prod": lambda t: np.sqrt(t.prod),                           # BD, TanD
+    # x ln(x / mid): KDD's terms, and half of Topsoe's
+    "x_log_x_mid": lambda t: _xlog(t.xf, _div(2.0 * t.xf, t.sum)),
 }
 
 # The terms of y alone: functions of a PairTerms reading only ``t.y``, row
@@ -335,9 +332,7 @@ def pearson_sum(t):
 
 def topsoe_sum(t):
     """Topsoe information statistic, twice the Jensen-Shannon divergence."""
-    x, y, s = t.xf, t.yf, t.sum
-    return _fsum(_xlog(x, _div(2.0 * x, s))
-                 + _xlog(y, _div(2.0 * y, s)))
+    return _fsum(t.x_log_x_mid + _xlog(t.yf, _div(2.0 * t.yf, t.sum)))
 
 
 def pearson_r(t):
@@ -381,8 +376,7 @@ def chord(t):
 
 def bhattacharyya(t):
     """Negative log of the sum of geometric means; may be negative."""
-    s = _fsum(np.sqrt(t.prod))
-    return -_log(s)
+    return -_log(_fsum(t.sqrt_prod))
 
 
 # Squared L2 family
@@ -420,21 +414,18 @@ def jeffreys(t):
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
-    term = t.diff * (_log(t.xf) - t.row("log"))
-    np.copyto(term, 0.0, where=t.diff == 0.0)
-    return _fsum(term)
+    return _fsum(t.diff * (_log(t.xf) - t.row("log")))
 
 
 def k_divergence(t):
     """Divergence of x from the midpoint distribution."""
-    return _fsum(_xlog(t.xf, _div(2.0 * t.xf, t.sum)))
+    return _fsum(t.x_log_x_mid)
 
 
 def jensen_difference(t):
     """Half the summed Jensen differences of the entropy function."""
-    m = 0.5 * t.sum
-    # x ln x with the 0 ln 0 = 0 convention, for x, y and their midpoint
-    terms = 0.5 * (_xlog(t.xf, t.xf) + t.row("xlogx")) - _xlog(m, m)
+    # x ln x for x, y and their midpoint; 0 ln 0 is 0 ln EPSILON, a zero
+    terms = 0.5 * (_xlog(t.xf, t.xf) + t.row("xlogx")) - _xlog(t.mid, t.mid)
     return 0.5 * _fsum(terms)
 
 
@@ -471,9 +462,7 @@ def kumar_johnson(t):
 
 def taneja(t):
     """Arithmetic-geometric mean divergence."""
-    m = 0.5 * t.sum
-    arg = _div(t.sum, 2.0 * np.sqrt(t.prod))
-    return _fsum(_xlog(m, arg))
+    return _fsum(_xlog(t.mid, _div(t.sum, 2.0 * t.sqrt_prod)))
 
 
 def hamming(t):
@@ -521,8 +510,9 @@ def _sorted_hausdorff(q, t):
     # query -> row: the last value of each sorted row that is <= each u, as (k, m)
     counts = np.bincount(below * m + t.row("owner"), minlength=(k + 1) * m)
     last = t.row("row_base") + np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
-    gaps = np.minimum(closed[last + 1] - u[:, None], u[:, None] - closed[last])
-    to_rows = np.maximum.reduce(gaps[slot.T], axis=0)
+    gaps = np.minimum(np.take(closed, last + 1) - u[:, None],
+                      u[:, None] - np.take(closed, last))
+    to_rows = np.maximum.reduce(np.take(gaps, slot.T, axis=0), axis=0)
     # row -> query: each query's nearest values below and at-or-above every training value
     mine = np.zeros((b, k), dtype=bool)
     mine[np.arange(b)[:, None], slot] = True
@@ -530,15 +520,15 @@ def _sorted_hausdorff(q, t):
     lower = np.hstack((-edge, np.maximum.accumulate(np.where(mine, u, -np.inf), axis=1)))
     upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
                        edge))
-    gaps = np.minimum(upper[:, below] - flat, flat - lower[:, below])
+    gaps = np.minimum(np.take(upper, below, axis=1) - flat,
+                      flat - np.take(lower, below, axis=1))
     to_query = np.maximum.reduce(gaps.reshape(b, n, m), axis=1)
     return np.maximum(to_rows, to_query)
 
 
 def chi2_statistic(t):
     """Sum of (x - m) / m with m the per-dimension midpoint; sign-indefinite."""
-    m = 0.5 * t.sum
-    return _fsum(_div(t.xf - m, m))
+    return _fsum(_div(t.xf - t.mid, t.mid))
 
 
 def whittaker(t):

@@ -4,6 +4,7 @@ Each property searches generated inputs and shrinks any counterexample;
 ``derandomize=True`` keeps every run of the suite on the same examples.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -25,10 +26,12 @@ from distbench.metrics import kernels, registry  # noqa: E402
 from distbench.reports import (level_stats_csv, rank_tables_markdown,  # noqa: E402
                                summary_markdown)
 
+import _reference as ref  # noqa: E402
 from _reference import (exact_rank_sum_pvalue, nearest_ref,  # noqa: E402
                         normal_rank_sum_pvalue_ref, signed_rank_pvalue_ref, tie_sum_ref,
                         vote_ref)
 from test_engine import _bits, _outcome, _reference  # noqa: E402
+from test_guards import _run  # noqa: E402
 
 settings.register_profile("distbench", derandomize=True, max_examples=200, deadline=None,
                           database=None)
@@ -49,6 +52,55 @@ def test_feature_sum_is_numpy_sum_of_the_transpose(a):
         want = np.sum(natural, axis=-1).view(np.int64)
         for feature_sum in (kernels._fsum, kernels._replayed_sum):
             assert np.array_equal(feature_sum(a).view(np.int64), want), feature_sum.__name__
+
+
+# The guards leave a zero term's sign to its product; a sum of zeros of
+# either sign must still be +0.0 on every path, or the sign would show.
+@given(hnp.arrays(np.float64,
+                  st.tuples(st.integers(0, 140), st.integers(1, 3), st.integers(1, 3)),
+                  elements=st.sampled_from([0.0, -0.0])))
+def test_every_feature_sum_of_signed_zeros_is_positive_zero(a):
+    for feature_sum in (kernels._replayed_sum, kernels._numpy_sum):
+        assert not feature_sum(a).view(np.int64).any(), feature_sum.__name__
+    # a single pair's terms are 1-d, which np.sum itself sums
+    for pair in a.reshape(len(a), a.shape[1] * a.shape[2]).T:
+        assert kernels._replayed_sum(pair).view(np.int64) == 0
+
+
+@st.composite
+def guard_cases(draw):
+    """(b, n) queries and (m, n) rows from a pool of signed zeros, subnormals,
+    ties and magnitudes near overflow; about half the draws add negatives."""
+    pool = [0.0, -0.0, 5e-324, 1e-310, 1.0, 2.5, 3.0, 1e300, 1.7e308]
+    if draw(st.booleans()):
+        pool += [-5e-324, -1.5, -1e300]
+    n = draw(st.integers(1, 6))
+    return tuple(draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), n),
+                                 elements=st.sampled_from(pool))) for _ in range(2))
+
+
+@settings(max_examples=100)
+@given(guard_cases())
+def test_every_metric_equals_its_guard_references_bit_for_bit(case):
+    x, y = case
+    # each metric sees only inputs its domain admits, as from pairwise: TanD
+    # of 1 against -1 is 0 * ln(NaN), where the reference gives 0
+    non_negative = (x >= 0.0).all() and (y >= 0.0).all()
+    metrics = [describe(abbrev) for abbrev in list_metrics()
+               if non_negative or not describe(abbrev).requires_nonneg_inputs]
+    got = [_run(desc, x, y) for desc in metrics]
+    originals = {"JefD": ref.jeffreys_ref, "HasD": ref.hassanat_ref}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_div", ref.div_ref)
+        patch.setattr(registry, "_div", ref.div_ref)
+        patch.setattr(kernels, "_xlog", ref.xlog_ref)
+        for desc, (bits, caught) in zip(metrics, got):
+            if desc.abbrev in originals:
+                original = originals[desc.abbrev]
+                desc = dataclasses.replace(desc, func=lambda t: original(t.x, t.y))
+            want_bits, want_caught = _run(desc, x, y)
+            assert np.array_equal(bits, want_bits), desc.abbrev
+            assert set(caught) <= set(want_caught), (desc.abbrev, caught, want_caught)
 
 
 # signed zeros, subnormals, exact ties, and magnitudes whose sums and

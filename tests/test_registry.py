@@ -122,6 +122,16 @@ def test_evaluate_refuses_a_non_finite_hausdorff_input():
             evaluate("HauD", [1.0, 1.0], x)
 
 
+def test_every_log_measure_refuses_a_nan_input():
+    # a zero coefficient times a NaN log is NaN: KLD and KDD refuse NaN as
+    # the other log measures do
+    for abbrev in ("KLD", "KDD", "JefD", "TopD", "JSD", "JDD", "TanD"):
+        with pytest.raises(DomainViolationError, match=f"{abbrev} produced a non-finite"):
+            evaluate(abbrev, [0.0, 1.0], [np.nan, 1.0])
+        with pytest.raises(DomainViolationError, match=f"{abbrev} produced a non-finite"):
+            pairwise(abbrev, [0.0, 1.0], [[2.0, 1.0], [np.nan, 1.0]])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         evaluate("ED", [1.0, 2.0], [1.0, 2.0, 3.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distbench import wilcoxon_rank_sum, wilcoxon_signed_rank
-from distbench.errors import LengthMismatchError
+from distbench.errors import LengthMismatchError, NonNumericError
 from distbench.evaluation import _normal_pvalue
 
 from _reference import exact_rank_sum_pvalue
@@ -125,3 +125,15 @@ def test_signed_rank_balanced_differences():
 def test_signed_rank_length_mismatch():
     with pytest.raises(LengthMismatchError):
         wilcoxon_signed_rank([1.0], [1.0, 2.0])
+
+
+# no order ranks NaN: both tests refuse it, naming the sample, in any position
+@pytest.mark.parametrize("test", [wilcoxon_rank_sum, wilcoxon_signed_rank])
+@pytest.mark.parametrize("a, b, named", [
+    ([np.nan, np.nan, 1.0], [2.0, np.nan, 3.0], "sample_a"),
+    ([1.0, np.nan, np.nan], [np.nan, 2.0, 3.0], "sample_a"),
+    ([1.0, 2.0], [3.0, np.nan], "sample_b"),
+])
+def test_a_sample_holding_nan_is_refused(test, a, b, named):
+    with pytest.raises(NonNumericError, match=f"{named} holds NaN"):
+        test(a, b)
