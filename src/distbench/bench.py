@@ -13,14 +13,13 @@ import csv
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._seeds import derive_seed
-from .dataset import Dataset, SplitPlan, load_csv, split
+from .dataset import Dataset, SplitPlan, load_csv, read_text, split
 from .errors import ConfigError, DomainViolationError
 from .evaluation import (
     ScoreTriple,
@@ -117,13 +116,8 @@ _CONFIG_KEYS = {f.name: _READERS[f.type] for f in fields(ExperimentConfig)}
 def parse_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file into an ExperimentConfig."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = _COMMENT_FREE.match(line).group().strip()
         if not line:
             continue
@@ -233,6 +227,8 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
 def _run_tasks(tasks: list[tuple], workers: int) -> tuple[list[RunRecord], list[SkipRecord]]:
     """Records of every cell in task order, and each distinct skip once."""
     if workers > 1 and len(tasks) > 1:
+        # imported here, so importing the package loads no process machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_heap) as pool:
             blocks = list(pool.map(_run_block, *zip(*tasks)))
     else:
@@ -361,8 +357,10 @@ def compare_to_reference(records: list[RunRecord], reference: str,
     """Wilcoxon p-values of a reference metric against each other metric.
 
     Samples are per-dataset mean scores at one noise level, aligned on
-    the datasets both metrics ran on.
+    the datasets both metrics ran on. ``alpha`` must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha {alpha} outside (0, 1)")
     describe(reference)
     by_kind = {kind: per_dataset_means(records, kind, noise_level) for kind in SCORE_KINDS}
     present = by_kind["accuracy"]

@@ -1,4 +1,4 @@
-"""Numeric classification datasets: CSV ingestion and seeded splits.
+"""Numeric classification datasets: input decoding, CSV ingestion and seeded splits.
 
 A dataset is what was loaded: an immutable bundle of a float feature
 matrix, dense integer class ids and the original class labels. Splits
@@ -94,12 +94,22 @@ class Dataset:
             if class_id not in used:
                 raise ConfigError(f"no row of dataset {self.name!r} has the class label "
                                   f"{label!r}: it would not read back")
-        lines = []
-        for row, lab in zip(self.features, self.labels):
-            cells = [repr(float(v)) for v in row]
-            cells.append(self.class_labels[int(lab)])
-            lines.append(",".join(cells))
+        lines = [",".join([*map(repr, row), self.class_labels[lab]])
+                 for row, lab in zip(self.features.tolist(), self.labels.tolist())]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_text(path) -> str:
+    """The text of a dataset, config or records file: UTF-8 after one optional
+    byte-order mark. A byte that is not UTF-8 is a ``ConfigError`` naming
+    ``path:line``; a file that cannot be read raises its ``OSError``."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec reports positions in the bytes after the mark, if any
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: byte {exc.object[exc.start]:#04x} "
+                          f"is not UTF-8") from None
 
 
 def _parse_feature(cell: str, path: Path, lineno: int, col: int) -> float:
@@ -135,11 +145,11 @@ def load_csv(path) -> Dataset:
     iff any of its feature cells is non-numeric. Class labels may be
     arbitrary strings; they are mapped to dense integer ids in order of
     first appearance. Feature cells must parse as finite reals and no cell
-    may be empty. An error names the file and its 1-based line and column,
-    blank lines counted.
+    may be empty. The file is read by ``read_text``. An error names the file
+    and its 1-based line and column, blank lines counted.
     """
     path = Path(path)
-    raw = path.read_text(encoding="utf-8")
+    raw = read_text(path)
     # (file line number, cells) of every non-blank line
     table = [(lineno, [cell.strip() for cell in line.strip().split(",")])
              for lineno, line in enumerate(raw.splitlines(), start=1) if line.strip()]

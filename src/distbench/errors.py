@@ -50,4 +50,4 @@ class ClassOutOfRangeError(DistbenchError):
 
 
 class ConfigError(DistbenchError):
-    """An experiment configuration is invalid or cannot be parsed."""
+    """A configuration or argument is invalid, or an input file cannot be decoded or parsed."""

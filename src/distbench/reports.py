@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from pathlib import Path
 
 from .bench import RunRecord, SCORE_KINDS, per_dataset_means, summarize
+from .dataset import read_text
 from .errors import ConfigError
 from .evaluation import ScoreTriple, mean, pstdev, rank_distances
 
 CSV_HEADER = "dataset,metric,noise_level,repetition,accuracy,precision,recall"
+
+# a line as open(newline="") yields it, so "\r\n", "\r" and "\n" each end one;
+# found one at a time, where a StringIO of the text would hold it at 4 bytes a character
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z")
 
 
 def _key(rec: RunRecord) -> tuple:
@@ -72,15 +78,18 @@ def write_records_csv(records: list[RunRecord], path) -> Path:
 
 def read_records_csv(path) -> list[RunRecord]:
     path = Path(path)
+    reader = csv.reader(line.group() for line in _LINE.finditer(read_text(path)))
+    rows, start = [], 1   # (file line the row starts on, cells): a quoted field may span lines
     try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+        for cells in reader:
+            rows.append((start, cells))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ConfigError(f"{path} is not a readable records CSV: {exc}") from exc
-    if not rows or rows[0] != CSV_HEADER.split(","):
+    if not rows or rows[0][1] != CSV_HEADER.split(","):
         raise ConfigError(f"{path} is not a records CSV (bad header)")
     records: dict[tuple, RunRecord] = {}
-    for lineno, cells in enumerate(rows[1:], start=2):
+    for lineno, cells in rows[1:]:
         if not "".join(cells).strip():
             continue
         if len(cells) != 7:

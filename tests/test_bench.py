@@ -3,6 +3,11 @@
 import csv
 import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from distbench import (
     summarize,
     top_metrics_from_summary,
 )
+from distbench import bench
 from distbench.bench import _run_block, _noise_seed, per_dataset_means
 from distbench.errors import ConfigError, UnknownMetricError
 from distbench.reports import (
@@ -323,6 +329,14 @@ def test_compare_signed_rank_option():
     assert rows[0].p_values["accuracy"] < 0.05
 
 
+@pytest.mark.parametrize("alpha", (0.0, 1.0, 2.0, -0.05, math.nan, math.inf))
+def test_compare_refuses_an_alpha_outside_the_unit_interval(alpha):
+    # at alpha 2 every p-value, 1.0 included, would be marked significant
+    records = _records_for_compare(gap=0.05)
+    with pytest.raises(ConfigError, match="outside \\(0, 1\\)"):
+        compare_to_reference(records, "HasD", ["ED"], alpha=alpha)
+
+
 def test_compare_unknown_metric(tiny_config):
     result = run_clean_phase(tiny_config)
     with pytest.raises(UnknownMetricError):
@@ -380,6 +394,54 @@ def test_records_csv_refuses_rows_the_writer_never_writes(second, message, tmp_p
     path.write_text(f"{CSV_HEADER}\nt,ED,0.0,0,0.0,0.0,0.0\n{second}\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=message):
         read_records_csv(path)
+
+
+def test_records_csv_errors_name_the_line_a_row_starts_on(tmp_path):
+    # two rows whose quoted names span two lines each: the bad row is line 6
+    path = tmp_path / "records.csv"
+    path.write_text(f'{CSV_HEADER}\n"a\nb",ED,0.0,0,0.5,0.5,0.5\n"c\nd",ED,0.0,0,0.5,0.5,0.5\n'
+                    f't,ED,0.0,-3,1.0,1.0,1.0\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:6: repetition -3"):
+        read_records_csv(path)
+
+
+_TWO_RECORDS = [RunRecord("a\nb", "ED", 0.0, 0, ScoreTriple(0.5, 0.25, 0.75)),
+                RunRecord("c", "MD", 0.1, 1, ScoreTriple(1.0, 1.0, 1.0))]
+
+
+@pytest.mark.parametrize("reader, text", (
+    (read_records_csv, records_to_csv(_TWO_RECORDS)),
+    (parse_config, "datasets = a.csv, b.csv\nmetrics = ED, MD\nk = 3\n"),
+), ids=("records", "config"))
+def test_a_byte_order_mark_is_not_read_as_text(tmp_path, reader, text):
+    # spreadsheet exports start with one; it would join the first header cell or key
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert reader(marked) == reader(plain)
+    assert reader(plain) == (_TWO_RECORDS if reader is read_records_csv else ExperimentConfig(
+        datasets=("a.csv", "b.csv"), metrics=("ED", "MD"), k=3))
+
+
+@pytest.mark.parametrize("ending", ("\r\n", "\r"))
+def test_records_csv_reads_every_line_ending(tmp_path, ending):
+    # "\r\n", "\r" and "\n" each end a line; a quoted name keeps its own line feed
+    text = records_to_csv(_TWO_RECORDS).replace("\n", ending).replace(f"a{ending}b", "a\nb")
+    path = tmp_path / "records.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_records_csv(path) == _TWO_RECORDS
+
+
+@pytest.mark.parametrize("reader, text", (
+    (read_records_csv, f"{CSV_HEADER}\nt,ED,0.0,0,1.0,1.0,1.0\n\xe9,ED,0.0,1,1.0,1.0,1.0\n"),
+    (parse_config, "datasets = a.csv\n\nmetrics = \xe9D\n"),
+), ids=("records", "config"))
+def test_a_byte_that_is_not_utf8_is_refused_naming_its_line(tmp_path, reader, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}:3: byte 0xe9 is not UTF-8"
 
 
 def test_records_csv_writer_refuses_a_repeated_record(tmp_path):
@@ -450,6 +512,18 @@ def test_parallel_workers_match_sequential(tiny_config):
     assert records_to_csv(sequential.records) == records_to_csv(parallel.records)
 
 
+def test_importing_the_package_loads_no_process_pool():
+    # the pool's modules cost every bench command about 26 ms; only workers > 1 needs them
+    src = str(Path(bench.__file__).resolve().parents[1])   # the package under test
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, distbench; print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_config_parsing(tmp_path):
     ds = make_blobs("cfg", 20, 2, (0.5, 0.5), spread=0.5, seed=1)
     csv_path = write_dataset_csv(ds, tmp_path / "cfg.csv")
@@ -513,7 +587,7 @@ def test_config_errors(tmp_path):
     cfg_path.write_text("datasets = x.csv\ndatasets = y.csv\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         parse_config(cfg_path)
-    with pytest.raises(ConfigError):
+    with pytest.raises(FileNotFoundError):   # read as a dataset is, so the CLI says "io error"
         parse_config(tmp_path / "absent.cfg")
 
 

@@ -190,6 +190,16 @@ def test_compare_subcommand(workspace, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("alpha", ("2", "0", "nan"))
+def test_an_alpha_outside_the_unit_interval_exits_nonzero(workspace, capsys, alpha):
+    tmp_path, cfg = workspace
+    main(["clean", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main(["compare", "--records", str(tmp_path / "out" / "records.csv"),
+                 "--reference", "HasD", "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == f"error: alpha {float(alpha)} outside (0, 1)\n"
+
+
 @pytest.mark.parametrize("listed", [",", "", " , "])
 def test_an_empty_metric_list_exits_nonzero(workspace, capsys, listed):
     tmp_path, cfg = workspace
@@ -258,7 +268,25 @@ def test_report_subcommand_round_trips(workspace):
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["clean", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+    # as a missing dataset or records file does
+    assert capsys.readouterr().err.startswith("io error: [Errno 2] No such file")
+
+
+@pytest.mark.parametrize("bad", ("dataset", "config", "records"))
+def test_a_byte_that_is_not_utf8_exits_nonzero(workspace, capsys, bad):
+    tmp_path, cfg = workspace
+    records = tmp_path / "out" / "records.csv"
+    assert main(["clean", "--config", str(cfg), "--out", str(records.parent)]) == 0
+    capsys.readouterr()
+    path = {"dataset": tmp_path / "one.csv", "config": cfg, "records": records}[bad]
+    path.write_bytes(path.read_bytes() + b"\xe9\n")
+    line = len(path.read_bytes().splitlines())
+    if bad == "records":
+        argv = ["compare", "--records", str(records), "--reference", "HasD"]
+    else:
+        argv = ["clean", "--config", str(cfg), "--out", str(tmp_path / "again")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: byte 0xe9 is not UTF-8\n"
 
 
 def test_unknown_metric_in_config_exits_nonzero(tmp_path, capsys):

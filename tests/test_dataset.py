@@ -102,6 +102,31 @@ def test_load_errors_name_the_file_line(tmp_path, fourth, error, message):
     assert str(info.value) == f"{path}:4: {message}"
 
 
+def _same(a, b):
+    return (a.name, a.features.tolist(), a.labels.tolist(), a.class_labels) == (
+        b.name, b.features.tolist(), b.labels.tolist(), b.class_labels)
+
+
+@pytest.mark.parametrize("text", (TOY_ROWS, "a,b,c,label\n" + TOY_ROWS))
+def test_a_byte_order_mark_is_not_read_as_a_cell(tmp_path, text):
+    # spreadsheet exports start with one: "\ufeff5" would be header evidence,
+    # and the first example would be dropped as a header
+    (tmp_path / "marked").mkdir()
+    plain = load_csv(_write(tmp_path, text))
+    marked = load_csv(_write(tmp_path / "marked", "\ufeff" + text))
+    assert len(marked) == 4
+    assert _same(marked, plain)
+
+
+@pytest.mark.parametrize("mark", (b"", b"\xef\xbb\xbf"))
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, mark):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(mark + b"a,b,label\n1,2,A\n\n1,2,caf\xe9\n")
+    with pytest.raises(ConfigError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}:4: byte 0xe9 is not UTF-8"
+
+
 def test_round_trip_identity(tmp_path):
     rng = np.random.default_rng(5)
     lines = []

@@ -1,5 +1,6 @@
 """The allocator policy: the bench process keeps its freed heap."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from distbench import bench, cli, heap
+from distbench import cli, heap
 
 from conftest import make_blobs, write_config, write_dataset_csv
 
@@ -68,6 +69,7 @@ def test_cli_and_worker_pool_apply_the_policy(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+    # the bench imports the pool class where it builds the pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert cli.main(["clean", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert calls == ["cli", heap.keep_freed_heap]
