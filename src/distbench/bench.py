@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._seeds import derive_seed
-from .dataset import Dataset, SplitPlan, load_csv, read_text, split
+from .dataset import Dataset, SplitPlan, load_csv, read_lines, split
 from .errors import ConfigError, DomainViolationError
 from .evaluation import (
     ScoreTriple,
@@ -117,7 +117,7 @@ def parse_config(path) -> ExperimentConfig:
     """Read a flat ``key = value`` config file into an ExperimentConfig."""
     path = Path(path)
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = _COMMENT_FREE.match(line).group().strip()
         if not line:
             continue
@@ -226,7 +226,8 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
 
 def _run_tasks(tasks: list[tuple], workers: int) -> tuple[list[RunRecord], list[SkipRecord]]:
     """Records of every cell in task order, and each distinct skip once."""
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))   # a pool forks all its workers at once
+    if workers > 1:
         # imported here, so importing the package loads no process machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_heap) as pool:

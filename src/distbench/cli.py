@@ -78,19 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_skips(skips) -> None:
-    for skip in skips:
+def _write_phase(result, records_path: Path) -> None:
+    """A phase's records file, its tables beside it, then its skips on stderr."""
+    write_records_csv(result.records, records_path)
+    emit_report(result.records, records_path.parent)
+    for skip in result.skips:
         level = f" level={skip.noise_level}" if skip.noise_level else ""
         print(f"skipped dataset={skip.dataset} metric={skip.metric}{level}: {skip.reason}",
               file=sys.stderr)
 
 
 def cmd_clean(args) -> int:
-    cfg = parse_config(args.config)
-    result = run_clean_phase(cfg)
-    write_records_csv(result.records, Path(args.out) / "records.csv")
-    emit_report(result.records, args.out)
-    _print_skips(result.skips)
+    result = run_clean_phase(parse_config(args.config))
+    _write_phase(result, Path(args.out) / "records.csv")
     print(summary_markdown(result.records), end="")
     return 0
 
@@ -110,12 +110,8 @@ def cmd_noise(args) -> int:
     result = run_noise_phase(cfg, top_metrics=_noise_metrics(args))
     out = Path(args.out)
     if result.clean is not None:
-        write_records_csv(result.clean.records, out / "records.csv")
-        emit_report(result.clean.records, out)
-        _print_skips(result.clean.skips)
-    write_records_csv(result.records, out / "noise_records.csv")
-    emit_report(result.records, out)
-    _print_skips(result.skips)
+        _write_phase(result.clean, out / "records.csv")
+    _write_phase(result, out / "noise_records.csv")
     print(rank_tables_markdown(result.records), end="")
     return 0
 

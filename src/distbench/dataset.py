@@ -8,6 +8,8 @@ are pure functions of (dataset, plan, repetition).
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,13 +84,14 @@ class Dataset:
         """Write the dataset back out; floats use repr so reloading is exact.
 
         A class label that ``load_csv`` would not read back is refused
-        before anything is written: an empty one, one holding a comma or a
-        line boundary, one with surrounding whitespace, or one that no row
-        uses, since ``load_csv`` learns the labels from the rows.
+        before anything is written: an empty one, one holding a comma, a
+        carriage return or a line feed, one with surrounding whitespace, or
+        one that no row uses, since ``load_csv`` learns the labels from the rows.
         """
         used = set(self.labels.tolist())
         for class_id, label in enumerate(self.class_labels):
-            if label.splitlines() != [label] or label != label.strip() or "," in label:
+            # fullmatch refuses "" and a line end inside; strip() one at either edge
+            if not _LINE.fullmatch(label) or label != label.strip() or "," in label:
                 raise ConfigError(f"a dataset CSV cannot hold the class label {label!r}: "
                                   f"it would not read back")
             if class_id not in used:
@@ -99,17 +102,23 @@ class Dataset:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_text(path) -> str:
-    """The text of a dataset, config or records file: UTF-8 after one optional
-    byte-order mark. A byte that is not UTF-8 is a ``ConfigError`` naming
-    ``path:line``; a file that cannot be read raises its ``OSError``."""
+# a line ends at "\r\n", "\r" or "\n" and nowhere else, as open(newline="") splits;
+# found one at a time, where a StringIO of the text would hold it at 4 bytes a character
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z")
+
+
+def read_lines(path) -> Iterator[str]:
+    """The lines of a dataset, config or records file, line ends kept, decoded up
+    front as UTF-8 after one optional byte-order mark. A byte that is not UTF-8 is a
+    ``ConfigError`` naming ``path:line``; a file that cannot be read raises its ``OSError``."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the codec reports positions in the bytes after the mark, if any
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        lineno = len(_LINE.findall(exc.object[:exc.end].decode("utf-8", "replace")))
         raise ConfigError(f"{path}:{lineno}: byte {exc.object[exc.start]:#04x} "
                           f"is not UTF-8") from None
+    return (line.group() for line in _LINE.finditer(text))
 
 
 def _parse_feature(cell: str, path: Path, lineno: int, col: int) -> float:
@@ -145,14 +154,13 @@ def load_csv(path) -> Dataset:
     iff any of its feature cells is non-numeric. Class labels may be
     arbitrary strings; they are mapped to dense integer ids in order of
     first appearance. Feature cells must parse as finite reals and no cell
-    may be empty. The file is read by ``read_text``. An error names the file
+    may be empty. The file is read by ``read_lines``. An error names the file
     and its 1-based line and column, blank lines counted.
     """
     path = Path(path)
-    raw = read_text(path)
     # (file line number, cells) of every non-blank line
-    table = [(lineno, [cell.strip() for cell in line.strip().split(",")])
-             for lineno, line in enumerate(raw.splitlines(), start=1) if line.strip()]
+    table = [(lineno, [cell.strip() for cell in line.split(",")])
+             for lineno, line in enumerate(read_lines(path), start=1) if line.strip()]
     if not table:
         raise EmptyDatasetError(f"{path} contains no rows")
 

@@ -16,19 +16,14 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from pathlib import Path
 
 from .bench import RunRecord, SCORE_KINDS, per_dataset_means, summarize
-from .dataset import read_text
+from .dataset import read_lines
 from .errors import ConfigError
 from .evaluation import ScoreTriple, mean, pstdev, rank_distances
 
 CSV_HEADER = "dataset,metric,noise_level,repetition,accuracy,precision,recall"
-
-# a line as open(newline="") yields it, so "\r\n", "\r" and "\n" each end one;
-# found one at a time, where a StringIO of the text would hold it at 4 bytes a character
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+\Z")
 
 
 def _key(rec: RunRecord) -> tuple:
@@ -78,7 +73,7 @@ def write_records_csv(records: list[RunRecord], path) -> Path:
 
 def read_records_csv(path) -> list[RunRecord]:
     path = Path(path)
-    reader = csv.reader(line.group() for line in _LINE.finditer(read_text(path)))
+    reader = csv.reader(read_lines(path))
     rows, start = [], 1   # (file line the row starts on, cells): a quoted field may span lines
     try:
         for cells in reader:

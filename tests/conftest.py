@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,27 @@ def write_config(path, dataset_paths, **overrides):
         lines.append(f"{key} = {value}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Swap the process pool for one that maps in this process, and list each
+    pool built as (max_workers, initializer). The bench imports the pool
+    class where it builds the pool, so the swap reaches it."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None):
+            built.append((max_workers, initializer))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return built

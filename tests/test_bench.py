@@ -512,6 +512,13 @@ def test_parallel_workers_match_sequential(tiny_config):
     assert records_to_csv(sequential.records) == records_to_csv(parallel.records)
 
 
+@pytest.mark.parametrize("workers, pools", ((16, [4]), (3, [3]), (1, [])))
+def test_the_worker_pool_is_no_larger_than_its_cells(tiny_config, inline_pools, workers, pools):
+    # a pool forks all its workers at once; 2 datasets x 2 repetitions are 4 cells
+    run_clean_phase(dataclasses.replace(tiny_config, repetitions=2, workers=workers))
+    assert [max_workers for max_workers, _ in inline_pools] == pools
+
+
 def test_importing_the_package_loads_no_process_pool():
     # the pool's modules cost every bench command about 26 ms; only workers > 1 needs them
     src = str(Path(bench.__file__).resolve().parents[1])   # the package under test
@@ -589,6 +596,15 @@ def test_config_errors(tmp_path):
         parse_config(cfg_path)
     with pytest.raises(FileNotFoundError):   # read as a dataset is, so the CLI says "io error"
         parse_config(tmp_path / "absent.cfg")
+
+
+def test_config_errors_count_only_cr_and_lf_as_line_ends(tmp_path):
+    # a form feed ends a line for str.splitlines, not for open(newline="")
+    path = tmp_path / "ff.cfg"
+    path.write_text("datasets = a.csv\x0c\nk = 1\nbogus = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == f"{path}:3: unknown key 'bogus'"
 
 
 def test_config_validation():

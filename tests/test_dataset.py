@@ -102,6 +102,25 @@ def test_load_errors_name_the_file_line(tmp_path, fourth, error, message):
     assert str(info.value) == f"{path}:4: {message}"
 
 
+@pytest.mark.parametrize("data, message", (
+    # a form feed ends a line for str.splitlines, not for open(newline="")
+    (b"1,2,a\x0c\n1,2,a\n1,x,a\n", "cell 'x' in column 2 is not numeric"),
+    (b"1,2,a\r1,2,a\r1,2,\xe9\r", "byte 0xe9 is not UTF-8"),
+), ids=("form-feed", "carriage-return"))
+def test_errors_count_only_cr_and_lf_as_line_ends(tmp_path, data, message):
+    path = tmp_path / "lines.csv"
+    path.write_bytes(data)
+    with pytest.raises((NonNumericError, ConfigError)) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
+def test_a_break_only_splitlines_sees_does_not_split_a_row(tmp_path):
+    ds = load_csv(_write(tmp_path, "1,2\x0c,a\n1,3,b\n"))
+    assert ds.features.tolist() == [[1.0, 2.0], [1.0, 3.0]]
+    assert ds.class_labels == ("a", "b")
+
+
 def _same(a, b):
     return (a.name, a.features.tolist(), a.labels.tolist(), a.class_labels) == (
         b.name, b.features.tolist(), b.labels.tolist(), b.class_labels)
@@ -144,8 +163,7 @@ def test_round_trip_identity(tmp_path):
 
 
 @pytest.mark.parametrize("label", (
-    "a,b", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b",
-    "", " a", "a ", "\ta",
+    "a,b", "a\nb", "a\r\nb", "a\rb", "a\n", "", " a", "a ", "\ta",
 ))
 def test_to_csv_refuses_a_label_that_would_not_read_back(tmp_path, label):
     ds = Dataset.from_arrays("d", [[1.0, 2.0], [3.0, 4.0]], [0, 1], ["ok", label])
@@ -153,6 +171,15 @@ def test_to_csv_refuses_a_label_that_would_not_read_back(tmp_path, label):
     with pytest.raises(ConfigError, match="would not read back"):
         ds.to_csv(out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ("a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b"))
+def test_to_csv_writes_a_label_with_a_break_only_splitlines_sees(tmp_path, label):
+    # only a carriage return or a line feed ends a line, so the label reads back
+    ds = Dataset.from_arrays("d", [[1.0, 2.0], [3.0, 4.0]], [0, 1], ["ok", label])
+    out = tmp_path / "d.csv"
+    ds.to_csv(out)
+    assert _same(load_csv(out), ds)
 
 
 def test_to_csv_refuses_a_class_label_no_row_uses(tmp_path):

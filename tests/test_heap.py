@@ -1,6 +1,5 @@
 """The allocator policy: the bench process keeps its freed heap."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -49,27 +48,13 @@ def test_pairwise_calls_stop_faulting_under_the_policy():
     assert int(proc.stdout) < 1000   # 100 calls; without the policy, about 150,000
 
 
-def test_cli_and_worker_pool_apply_the_policy(tmp_path, monkeypatch):
+def test_cli_and_worker_pool_apply_the_policy(tmp_path, monkeypatch, inline_pools):
     calls = []
-    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append("cli"))
+    # the CLI's policy runs before any pool is built
+    monkeypatch.setattr(cli, "keep_freed_heap", lambda: calls.append(len(inline_pools)))
     ds = make_blobs("pol", 20, 3, (0.5, 0.5), spread=0.8, seed=8)
     cfg = write_config(tmp_path / "bench.cfg", [write_dataset_csv(ds, tmp_path / "pol.csv")],
                        metrics="ED", repetitions=2, workers=2)
-
-    class InlinePool:
-        def __init__(self, max_workers, initializer=None):
-            calls.append(initializer)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    # the bench imports the pool class where it builds the pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert cli.main(["clean", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert calls == ["cli", heap.keep_freed_heap]
+    assert calls == [0]
+    assert inline_pools == [(2, heap.keep_freed_heap)]

@@ -18,13 +18,14 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from distbench import (Cell, Dataset, KnnModel, NoiseSpec, RunRecord,  # noqa: E402
                        ScoreTriple, classify, classify_batch, describe, evaluate, inject,
-                       list_metrics, neighbors, pairwise, read_records_csv, round_half_up,
-                       wilcoxon_rank_sum, wilcoxon_signed_rank, write_records_csv)
+                       list_metrics, load_csv, neighbors, pairwise, parse_config,
+                       read_records_csv, round_half_up, wilcoxon_rank_sum,
+                       wilcoxon_signed_rank, write_records_csv)
 from distbench.bench import per_dataset_means  # noqa: E402
-from distbench.errors import ConfigError, DomainViolationError  # noqa: E402
+from distbench.errors import ConfigError, DistbenchError, DomainViolationError  # noqa: E402
 from distbench.metrics import kernels, registry  # noqa: E402
-from distbench.reports import (level_stats_csv, rank_tables_markdown,  # noqa: E402
-                               summary_markdown)
+from distbench.reports import (CSV_HEADER, level_stats_csv,  # noqa: E402
+                               rank_tables_markdown, summary_markdown)
 
 import _reference as ref  # noqa: E402
 from _reference import (exact_rank_sum_pvalue, nearest_ref,  # noqa: E402
@@ -239,6 +240,56 @@ def test_records_csv_reads_back_every_name_or_writes_nothing(rows):
             return
         key = lambda r: (r.dataset, r.metric, r.noise_level, r.repetition)  # noqa: E731
         assert read_records_csv(path) == sorted(records, key=key)
+
+
+# per reader: its first line, its i-th good line and its bad line, each as fields,
+# the field separator, and the last field a splitlines-only character may end
+LINE_READERS = {
+    load_csv: (["1", "2", "a"], lambda i: ["1", "2", "a"], ["1", "?", "a"], ",", 2),
+    parse_config: (["datasets", "a.csv"], lambda i: [f"# note {i}"], ["?", "2"], " = ", 1),
+    read_records_csv: (CSV_HEADER.split(","),
+                       lambda i: ["t", "ED", "0.0", str(i), "1.0", "1.0", "1.0"],
+                       ["t", "ED", "0.0", "?", "1.0", "1.0", "1.0"], ",", 1),
+}
+# str.splitlines ends a line at each of these; a file line holds them as text
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@st.composite
+def line_files(draw):
+    """A reader and a file for it: mixed line ends, splitlines-only characters
+    inside lines, blank lines, and one bad line marked by "?"."""
+    reader = draw(st.sampled_from(list(LINE_READERS)))
+    first, good, bad, sep, last_field = LINE_READERS[reader]
+    blank = [""]
+    rows = [good(i) for i in range(draw(st.integers(0, 5)))] + [bad]
+    text = sep.join(first)
+    for fields in draw(st.permutations(rows + [blank] * draw(st.integers(0, 3)))):
+        fields = list(fields)
+        if draw(st.booleans()):
+            # at a field's end, where a reader strips it or reads it as a name
+            j = draw(st.integers(0, min(len(fields) - 1, last_field)))
+            fields[j] += draw(st.sampled_from(SPLITLINES_ONLY))
+        text += draw(st.sampled_from(("\n", "\r\n", "\r"))) + sep.join(fields)
+    return reader, text + draw(st.sampled_from(("", "\n", "\r\n", "\r")))
+
+
+@settings(max_examples=150)
+@given(line_files())
+def test_every_reader_names_the_line_open_puts_its_error_on(case):
+    reader, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as file:
+            want = next(i for i, line in enumerate(file.readlines(), 1) if "?" in line)
+        with pytest.raises(DistbenchError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path}:{want}: ")
+        path.write_bytes(text.encode("utf-8").replace(b"?", b"\xe9"))
+        with pytest.raises(ConfigError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:{want}: byte 0xe9 is not UTF-8"
 
 
 @st.composite
