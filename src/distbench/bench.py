@@ -52,7 +52,7 @@ class ExperimentConfig:
     k: int = 1
     test_fraction: float = 0.34
     repetitions: int = 10
-    noise_levels: tuple[float, ...] = ()
+    noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
     top_n: int = 10
     master_seed: int = 0
     workers: int = 1
@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be positive")
+        if not self.noise_levels:
+            raise ConfigError("no noise levels configured")
         for level in self.noise_levels:
             if not 0.0 < level < 1.0:
                 raise ConfigError(f"noise level {level} outside (0, 1)")
@@ -332,11 +334,10 @@ def run_noise_phase(cfg: ExperimentConfig,
     if top_metrics is None:
         clean = _clean_phase(cfg, datasets)
         top_metrics = top_metrics_from_summary(summarize(clean.records), cfg.top_n)
-    levels = cfg.noise_levels or DEFAULT_NOISE_LEVELS
 
     tasks = []
     for ds in datasets:
-        for level in levels:
+        for level in cfg.noise_levels:
             noisy = inject(ds, NoiseSpec(level, _noise_seed(cfg.master_seed, ds.name, level)))
             for rep in range(cfg.repetitions):
                 tasks.append((noisy, float(level), rep, top_metrics, cfg))

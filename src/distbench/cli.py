@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .bench import (
     PUBLISHED_TOP,
-    CompareRow,
     _split_list,
     compare_to_reference,
     parse_config,
@@ -23,6 +22,7 @@ from .bench import (
 from .errors import DistbenchError
 from .heap import keep_freed_heap
 from .reports import (
+    compare_markdown,
     emit_report,
     rank_tables_markdown,
     read_records_csv,
@@ -116,30 +116,13 @@ def cmd_noise(args) -> int:
     return 0
 
 
-def _format_compare(reference: str, rows: list[CompareRow], alpha: float) -> str:
-    lines = [
-        f"# Wilcoxon p-values: {reference} vs the other metrics "
-        f"(two-sided, significance {alpha:g})",
-        "",
-        "| Metric | Accuracy | Recall | Precision |",
-        "| --- | --- | --- | --- |",
-    ]
-    for row in rows:
-        cells = []
-        for kind in ("accuracy", "recall", "precision"):
-            p = row.p_values[kind]
-            cells.append(f"**{p:.4f}**" if row.significant[kind] else f"{p:.4f}")
-        lines.append(f"| {row.metric} | {cells[0]} | {cells[1]} | {cells[2]} |")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_compare(args) -> int:
     records = read_records_csv(args.records)
     others = None if args.metrics is None else list(_split_list(args.metrics))
     rows = compare_to_reference(records, args.reference, others,
                                 noise_level=args.noise_level, alpha=args.alpha,
                                 signed_rank=args.signed_rank)
-    print(_format_compare(args.reference, rows, args.alpha), end="")
+    print(compare_markdown(args.reference, rows, args.alpha), end="")
     return 0
 
 

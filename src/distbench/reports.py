@@ -1,4 +1,4 @@
-"""Report emission: the records CSV and the table files derived from it.
+"""Report emission: the records CSV and every table derived from it.
 
 Floats in the CSV are written with repr so rereading them is exact and
 two runs with the same seed produce byte-identical files. The CSV goes
@@ -8,8 +8,9 @@ name is written bare. A name that would not read back is refused: the
 writer leaves a carriage return unquoted, Python 3.10's reader rejects
 NUL, and the reader refuses a field longer than
 ``csv.field_size_limit()``. Both refuse a second record of one (dataset,
-metric, noise level, repetition). Markdown tables round to four
-decimals, matching the usual presentation of accuracy results.
+metric, noise level, repetition). Every markdown table, written to a
+file or printed by a command, is laid out by ``_table`` and rounds to
+four decimals, matching the usual presentation of accuracy results.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import csv
 import io
 from pathlib import Path
 
-from .bench import RunRecord, SCORE_KINDS, per_dataset_means, summarize
+from .bench import CompareRow, RunRecord, SCORE_KINDS, per_dataset_means, summarize
 from .dataset import read_lines
 from .errors import ConfigError
 from .evaluation import ScoreTriple, mean, pstdev, rank_distances
@@ -72,70 +73,79 @@ def write_records_csv(records: list[RunRecord], path) -> Path:
 
 
 def read_records_csv(path) -> list[RunRecord]:
+    """The records of a records CSV. Each row is checked as it is read, so an
+    error names the first fault in the file, at the line its row starts on."""
     path = Path(path)
     reader = csv.reader(read_lines(path))
-    rows, start = [], 1   # (file line the row starts on, cells): a quoted field may span lines
+    records: dict[tuple, RunRecord] = {}
     try:
+        if next(reader, None) != CSV_HEADER.split(","):
+            raise ConfigError(f"{path} is not a records CSV (bad header)")
+        start = reader.line_num + 1   # a quoted field may span lines
         for cells in reader:
-            rows.append((start, cells))
-            start = reader.line_num + 1
+            lineno, start = start, reader.line_num + 1
+            if not "".join(cells).strip():
+                continue
+            if len(cells) != 7:
+                raise ConfigError(f"{path}:{lineno}: expected 7 fields, got {len(cells)}")
+            try:
+                rec = RunRecord(
+                    dataset=cells[0],
+                    metric=cells[1],
+                    noise_level=float(cells[2]),
+                    repetition=int(cells[3]),
+                    scores=ScoreTriple(float(cells[4]), float(cells[5]), float(cells[6])),
+                )
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if records.setdefault(_key(rec), rec) is not rec:
+                raise ConfigError(f"{path}:{lineno}: a second record of {_key(rec)}")
     except csv.Error as exc:
         raise ConfigError(f"{path} is not a readable records CSV: {exc}") from exc
-    if not rows or rows[0][1] != CSV_HEADER.split(","):
-        raise ConfigError(f"{path} is not a records CSV (bad header)")
-    records: dict[tuple, RunRecord] = {}
-    for lineno, cells in rows[1:]:
-        if not "".join(cells).strip():
-            continue
-        if len(cells) != 7:
-            raise ConfigError(f"{path}:{lineno}: expected 7 fields, got {len(cells)}")
-        try:
-            rec = RunRecord(
-                dataset=cells[0],
-                metric=cells[1],
-                noise_level=float(cells[2]),
-                repetition=int(cells[3]),
-                scores=ScoreTriple(float(cells[4]), float(cells[5]), float(cells[6])),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        if records.setdefault(_key(rec), rec) is not rec:
-            raise ConfigError(f"{path}:{lineno}: a second record of {_key(rec)}")
     return list(records.values())
+
+
+# the columns of the summary and compare tables
+_SCORE_HEADER = ("Metric", *(kind.capitalize() for kind in SCORE_KINDS))
+
+
+def _table(header, rows) -> list[str]:
+    """The lines of a markdown table: its header, the separator, one line per row of cells."""
+    return [f"| {' | '.join(cells)} |" for cells in (header, ["---"] * len(header), *rows)]
 
 
 def summary_markdown(records: list[RunRecord]) -> str:
     """Per-metric mean accuracy/recall/precision on clean records, best first."""
-    rows = summarize(records)
-    lines = [
-        "# Mean scores per metric (noise level 0)",
-        "",
-        "| Metric | Accuracy | Recall | Precision |",
-        "| --- | --- | --- | --- |",
-    ]
-    for row in rows:
-        lines.append(f"| {row.metric} | {row.accuracy:.4f} | {row.recall:.4f} "
-                     f"| {row.precision:.4f} |")
+    rows = ([row.metric, *(f"{getattr(row, kind):.4f}" for kind in SCORE_KINDS)]
+            for row in summarize(records))
+    lines = ["# Mean scores per metric (noise level 0)", "", *_table(_SCORE_HEADER, rows)]
     return "\n".join(lines) + "\n"
 
 
 def rank_tables_markdown(records: list[RunRecord]) -> str:
     """Per-noise-level ranking of metrics for each score kind."""
-    levels = sorted({rec.noise_level for rec in records})
+    by_level: dict[float, list[RunRecord]] = {}
+    for rec in records:
+        by_level.setdefault(rec.noise_level, []).append(rec)
     lines = ["# Metric rankings per noise level", ""]
     for kind in SCORE_KINDS:
-        lines.append(f"## Ranking by {kind}")
-        lines.append("")
-        for level in levels:
-            means = per_dataset_means(records, kind, level)
+        lines += [f"## Ranking by {kind}", ""]
+        for level in sorted(by_level):
+            means = per_dataset_means(by_level[level], kind, level)
             table = rank_distances({m: list(v.values()) for m, v in means.items()})
-            lines.append(f"### Noise level {level:g}")
-            lines.append("")
-            lines.append(f"| Rank | Metric | Mean {kind} |")
-            lines.append("| --- | --- | --- |")
-            for row in table:
-                lines.append(f"| {row.rank} | {row.metric} | {row.mean:.4f} |")
-            lines.append("")
+            rows = ([str(row.rank), row.metric, f"{row.mean:.4f}"] for row in table)
+            lines += [f"### Noise level {level:g}", "",
+                      *_table(["Rank", "Metric", f"Mean {kind}"], rows), ""]
+    return "\n".join(lines) + "\n"
+
+
+def compare_markdown(reference: str, rows: list[CompareRow], alpha: float) -> str:
+    """The p-values of ``compare_to_reference``, a significant one in bold."""
+    cells = ([row.metric, *(f"**{row.p_values[kind]:.4f}**" if row.significant[kind]
+                            else f"{row.p_values[kind]:.4f}" for kind in SCORE_KINDS)]
+             for row in rows)
+    lines = [f"# Wilcoxon p-values: {reference} vs the other metrics "
+             f"(two-sided, significance {alpha:g})", "", *_table(_SCORE_HEADER, cells)]
     return "\n".join(lines) + "\n"
 
 

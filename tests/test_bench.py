@@ -405,6 +405,20 @@ def test_records_csv_errors_name_the_line_a_row_starts_on(tmp_path):
         read_records_csv(path)
 
 
+@pytest.mark.parametrize("first, message", [
+    ("t,ED,0.0,-3,1.0,1.0,1.0", ":3: repetition -3 is negative"),
+    ("t,ED,0.0,0", ":3: expected 7 fields, got 4"),
+    ("t,ED,0.0,0,0.5,0.5,0.5", ":3: a second record of"),
+], ids=("bad value", "short row", "repeated key"))
+def test_records_csv_errors_name_the_first_fault_in_the_file(tmp_path, first, message):
+    # line 4 holds a field over the csv reader's size limit, a fault found later
+    path = tmp_path / "records.csv"
+    path.write_text(f"{CSV_HEADER}\nt,ED,0.0,0,0.5,0.5,0.5\n{first}\n"
+                    f"{'x' * (csv.field_size_limit() + 1)},ED,0.0,0,1,1,1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path) + message)}"):
+        read_records_csv(path)
+
+
 _TWO_RECORDS = [RunRecord("a\nb", "ED", 0.0, 0, ScoreTriple(0.5, 0.25, 0.75)),
                 RunRecord("c", "MD", 0.1, 1, ScoreTriple(1.0, 1.0, 1.0))]
 
@@ -580,6 +594,18 @@ def test_config_metrics_all(tmp_path):
     assert len(parse_config(cfg_path).metrics) == 54
 
 
+@pytest.mark.parametrize("key", ("datasets", "metrics", "noise_levels"))
+def test_a_config_key_set_to_an_empty_list_is_refused(tmp_path, key):
+    # left out, noise_levels runs the nine default levels; set empty, no key has a default
+    path = tmp_path / "bench.cfg"
+    path.write_text("datasets = x.csv\n", encoding="utf-8")
+    assert parse_config(path).noise_levels == tuple(i / 10 for i in range(1, 10))
+    lines = {"datasets": "x.csv", "metrics": "ED", key: ""}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^no {key.replace('_', ' ')} configured$"):
+        parse_config(path)
+
+
 def test_config_errors(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("bogus_key = 1\ndatasets = x.csv\n", encoding="utf-8")
@@ -622,7 +648,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("k", 0), ("repetitions", 0), ("top_n", 0), ("workers", 0), ("test_fraction", 0.0),
-    ("noise_levels", (0.0,)), ("metrics", ()), ("datasets", ()),
+    ("noise_levels", (0.0,)), ("metrics", ()), ("datasets", ()), ("noise_levels", ()),
 ])
 def test_a_config_is_checked_when_it_is_built(field, value):
     cfg = ExperimentConfig(datasets=("x.csv",), metrics=("ED",))

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+from distbench import RunRecord, ScoreTriple
 from distbench.cli import main
-from distbench.reports import CSV_HEADER, read_records_csv
+from distbench.reports import CSV_HEADER, read_records_csv, write_records_csv
 
 from conftest import make_blobs, write_config, write_dataset_csv
 
@@ -188,6 +189,69 @@ def test_compare_subcommand(workspace, capsys):
     rc = main(["compare", "--records", str(out / "records.csv"),
                "--reference", "HasD", "--signed-rank"])
     assert rc == 0
+
+
+# (accuracy, recall) in sixteenths per (level, metric, dataset) and repetition;
+# precision is 0.5 throughout. HasD and ED tie at level 0.5. At level 0 HasD
+# beats MD on every dataset in accuracy, but not in recall.
+_TABLE_SCORES = {
+    (0.0, "HasD", "a"): ((14, 10), (14, 10)), (0.0, "HasD", "b"): ((12, 4), (12, 4)),
+    (0.0, "ED", "a"): ((14, 10), (12, 4)), (0.0, "ED", "b"): ((12, 4), (12, 4)),
+    (0.0, "MD", "a"): ((8, 8), (8, 8)), (0.0, "MD", "b"): ((6, 1), (6, 1)),
+    (0.5, "HasD", "a"): ((10, 14), (10, 14)), (0.5, "HasD", "b"): ((8, 8), (8, 8)),
+    (0.5, "ED", "a"): ((8, 8), (8, 8)), (0.5, "ED", "b"): ((10, 14), (10, 14)),
+    (0.5, "MD", "a"): ((4, 12), (4, 12)), (0.5, "MD", "b"): ((4, 12), (4, 12))}
+
+
+def _rank_table(level, kind, rows):
+    lines = [f"### Noise level {level}", "",
+             f"| Rank | Metric | Mean {kind} |", "| --- | --- | --- |"]
+    return "\n".join(lines + [f"| {row} |" for row in rows]) + "\n\n"
+
+
+_EXPECTED_TABLES = {
+    "summary.md": (
+        "# Mean scores per metric (noise level 0)\n"
+        "\n"
+        "| Metric | Accuracy | Recall | Precision |\n"
+        "| --- | --- | --- | --- |\n"
+        "| HasD | 0.8125 | 0.4375 | 0.5000 |\n"
+        "| ED | 0.7812 | 0.3438 | 0.5000 |\n"
+        "| MD | 0.4375 | 0.2812 | 0.5000 |\n"),
+    "rank_tables.md": (
+        "# Metric rankings per noise level\n\n## Ranking by accuracy\n\n"
+        + _rank_table(0, "accuracy", ("1 | HasD | 0.8125", "2 | ED | 0.7812", "3 | MD | 0.4375"))
+        + _rank_table(0.5, "accuracy", ("1 | ED | 0.5625", "1 | HasD | 0.5625", "3 | MD | 0.2500"))
+        + "## Ranking by recall\n\n"
+        + _rank_table(0, "recall", ("1 | HasD | 0.4375", "2 | ED | 0.3438", "3 | MD | 0.2812"))
+        + _rank_table(0.5, "recall", ("1 | MD | 0.7500", "2 | ED | 0.6875", "2 | HasD | 0.6875"))
+        + "## Ranking by precision\n\n"
+        + "".join(_rank_table(level, "precision", ("1 | ED | 0.5000", "1 | HasD | 0.5000",
+                                                   "1 | MD | 0.5000")) for level in (0, 0.5))),
+}
+
+
+@pytest.mark.parametrize("test, p_values", (("rank-sum", "**0.3333** | 0.6667"),
+                                            ("signed-rank", "**0.3458** | 0.3711")))
+def test_every_table_keeps_its_text(tmp_path, capsys, test, p_values):
+    records = [RunRecord(ds, metric, level, rep, ScoreTriple(acc / 16, 0.5, recall / 16))
+               for (level, metric, ds), reps in _TABLE_SCORES.items()
+               for rep, (acc, recall) in enumerate(reps)]
+    path = write_records_csv(records, tmp_path / "records.csv")
+    assert main(["report", "--records", str(path), "--format", "markdown",
+                 "--out", str(tmp_path / "md")]) == 0
+    for name, text in _EXPECTED_TABLES.items():
+        assert (tmp_path / "md" / name).read_text(encoding="utf-8") == text, name
+    capsys.readouterr()
+    signed = ["--signed-rank"] if test == "signed-rank" else []
+    assert main(["compare", "--records", str(path), "--alpha", "0.35", *signed]) == 0
+    assert capsys.readouterr().out == (
+        "# Wilcoxon p-values: HasD vs the other metrics (two-sided, significance 0.35)\n"
+        "\n"
+        "| Metric | Accuracy | Recall | Precision |\n"
+        "| --- | --- | --- | --- |\n"
+        "| ED | 1.0000 | 1.0000 | 1.0000 |\n"
+        f"| MD | {p_values} | 1.0000 |\n")
 
 
 @pytest.mark.parametrize("alpha", ("2", "0", "nan"))
