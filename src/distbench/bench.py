@@ -116,9 +116,10 @@ _CONFIG_KEYS = {f.name: _READERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file into an ExperimentConfig."""
+    """Read a flat ``key = value`` config file into an ExperimentConfig. Each line
+    is checked as it is read, so an error names the first fault in the file."""
     path = Path(path)
-    raw: dict[str, str] = {}
+    kwargs: dict = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = _COMMENT_FREE.match(line).group().strip()
         if not line:
@@ -128,19 +129,13 @@ def parse_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in kwargs:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    kwargs: dict = {}
-    try:
-        for key, value in raw.items():
-            if key == "metrics" and value.lower() == "all":
-                kwargs[key] = list_metrics()
-            else:
-                kwargs[key] = _CONFIG_KEYS[key](value)
-    except (ValueError, csv.Error) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        try:
+            kwargs[key] = (list_metrics() if key == "metrics" and value.lower() == "all"
+                           else _CONFIG_KEYS[key](value))
+        except (ValueError, csv.Error) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
 
     if "datasets" not in kwargs:
         raise ConfigError(f"{path}: missing required key 'datasets'")
@@ -253,16 +248,18 @@ def _load_datasets(cfg: ExperimentConfig) -> list[Dataset]:
     return datasets
 
 
-def per_dataset_means(records: list[RunRecord], kind: str,
-                      level: float) -> dict[str, dict[str, float]]:
-    """metric -> dataset -> mean score over repetitions at one noise level."""
-    scores: dict[str, dict[str, list[float]]] = {}
+def per_dataset_means(records: list[RunRecord],
+                      level: float) -> dict[str, dict[str, dict[str, float]]]:
+    """score kind -> metric -> dataset -> mean score over repetitions at one
+    noise level, from one pass over the records."""
+    scores: dict[str, dict[str, list[ScoreTriple]]] = {}
     for rec in records:
-        if rec.noise_level != level:
-            continue
-        scores.setdefault(rec.metric, {}).setdefault(rec.dataset, []).append(rec.value(kind))
-    return {metric: {ds: mean(vals) for ds, vals in per_ds.items()}
-            for metric, per_ds in scores.items()}
+        if rec.noise_level == level:
+            scores.setdefault(rec.metric, {}).setdefault(rec.dataset, []).append(rec.scores)
+    return {kind: {metric: {ds: mean([getattr(triple, kind) for triple in triples])
+                            for ds, triples in per_ds.items()}
+                   for metric, per_ds in scores.items()}
+            for kind in SCORE_KINDS}
 
 
 @dataclass(frozen=True)
@@ -275,13 +272,9 @@ class SummaryRow:
 
 def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     """Per-metric means of per-dataset means on clean records, best first."""
-    by_kind = {kind: per_dataset_means(records, kind, 0.0) for kind in SCORE_KINDS}
-    metrics = sorted(by_kind["accuracy"])
-    rows = []
-    for metric in metrics:
-        means = {kind: mean(by_kind[kind][metric].values()) for kind in SCORE_KINDS}
-        rows.append(SummaryRow(metric, means["accuracy"], means["recall"],
-                               means["precision"]))
+    by_kind = per_dataset_means(records, 0.0)
+    rows = [SummaryRow(metric, *(mean(by_kind[kind][metric].values()) for kind in SCORE_KINDS))
+            for metric in sorted(by_kind["accuracy"])]
     rows.sort(key=lambda r: (-r.accuracy, r.metric))
     return rows
 
@@ -364,7 +357,7 @@ def compare_to_reference(records: list[RunRecord], reference: str,
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha {alpha} outside (0, 1)")
     describe(reference)
-    by_kind = {kind: per_dataset_means(records, kind, noise_level) for kind in SCORE_KINDS}
+    by_kind = per_dataset_means(records, noise_level)
     present = by_kind["accuracy"]
     if reference not in present:
         raise ConfigError(f"no records for reference metric {reference!r}")

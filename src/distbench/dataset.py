@@ -154,50 +154,39 @@ def load_csv(path) -> Dataset:
     iff any of its feature cells is non-numeric. Class labels may be
     arbitrary strings; they are mapped to dense integer ids in order of
     first appearance. Feature cells must parse as finite reals and no cell
-    may be empty. The file is read by ``read_lines``. An error names the file
-    and its 1-based line and column, blank lines counted.
+    may be empty. The file is read by ``read_lines`` and each line is
+    checked as it is read, so an error names the first fault in the file,
+    by its 1-based line and column, blank lines counted.
     """
     path = Path(path)
-    # (file line number, cells) of every non-blank line
-    table = [(lineno, [cell.strip() for cell in line.split(",")])
-             for lineno, line in enumerate(read_lines(path), start=1) if line.strip()]
-    if not table:
-        raise EmptyDatasetError(f"{path} contains no rows")
-
-    width = len(table[0][1])
-    for lineno, cells in table:
-        if len(cells) != width:
+    width = 0
+    values: list[float] = []        # the feature cells of every data row, row after row
+    index: dict[str, int] = {}      # class label -> id, in order of first appearance
+    ids: list[int] = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        cells = [cell.strip() for cell in line.split(",")]
+        if not width:
+            width = len(cells)
+            if width < 2:
+                raise EmptyDatasetError(f"{path}:{lineno}: no feature columns")
+            if any(_header_evidence(cell) for cell in cells[:-1]):
+                continue
+        elif len(cells) != width:
             raise InconsistentArityError(
                 f"{path}:{lineno}: {len(cells)} columns, expected {width}")
-    if width < 2:
-        raise EmptyDatasetError(f"{path}:{table[0][0]}: no feature columns")
-
-    header = any(_header_evidence(cell) for cell in table[0][1][:-1])
-    data = table[1:] if header else table
-    if not data:
-        raise EmptyDatasetError(f"{path} contains a header but no data rows")
-
-    m = len(data)
-    features = np.empty((m, width - 1), dtype=np.float64)
-    raw_labels = []
-    for i, (lineno, cells) in enumerate(data):
-        for j, cell in enumerate(cells[:-1]):
-            features[i, j] = _parse_feature(cell, path, lineno, j + 1)
-        label = cells[-1]
-        if label == "":
+        for j, cell in enumerate(cells[:-1], start=1):
+            values.append(_parse_feature(cell, path, lineno, j))
+        if cells[-1] == "":
             raise MissingValueError(f"{path}:{lineno}: empty class cell")
-        raw_labels.append(label)
-
-    class_labels: list[str] = []
-    index: dict[str, int] = {}
-    ids = np.empty(m, dtype=np.int64)
-    for i, label in enumerate(raw_labels):
-        if label not in index:
-            index[label] = len(class_labels)
-            class_labels.append(label)
-        ids[i] = index[label]
-
-    return Dataset.from_arrays(path.stem, features, ids, class_labels)
+        ids.append(index.setdefault(cells[-1], len(index)))
+    if not width:
+        raise EmptyDatasetError(f"{path} contains no rows")
+    if not ids:
+        raise EmptyDatasetError(f"{path} contains a header but no data rows")
+    features = np.array(values, dtype=np.float64).reshape(len(ids), width - 1)
+    return Dataset.from_arrays(path.stem, features, ids, index)
 
 
 @dataclass(frozen=True)

@@ -127,12 +127,12 @@ def rank_tables_markdown(records: list[RunRecord]) -> str:
     by_level: dict[float, list[RunRecord]] = {}
     for rec in records:
         by_level.setdefault(rec.noise_level, []).append(rec)
+    means = {level: per_dataset_means(by_level[level], level) for level in sorted(by_level)}
     lines = ["# Metric rankings per noise level", ""]
     for kind in SCORE_KINDS:
         lines += [f"## Ranking by {kind}", ""]
-        for level in sorted(by_level):
-            means = per_dataset_means(by_level[level], kind, level)
-            table = rank_distances({m: list(v.values()) for m, v in means.items()})
+        for level, by_kind in means.items():
+            table = rank_distances({m: list(v.values()) for m, v in by_kind[kind].items()})
             rows = ([str(row.rank), row.metric, f"{row.mean:.4f}"] for row in table)
             lines += [f"### Noise level {level:g}", "",
                       *_table(["Rank", "Metric", f"Mean {kind}"], rows), ""]

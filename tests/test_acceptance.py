@@ -169,7 +169,7 @@ def surrogate_runs(tmp_path_factory):
 
 
 def _mean_over_datasets(records, metric, level):
-    per_ds = per_dataset_means(records, "accuracy", level)[metric]
+    per_ds = per_dataset_means(records, level)["accuracy"][metric]
     return sum(per_ds.values()) / len(per_ds)
 
 

@@ -200,7 +200,7 @@ def _golden_records():
 def test_tables_average_every_score_by_fsum():
     records = _golden_records()
     per_ds = {"a": 0.19999999999999998, "b": 0.23333333333333336}
-    assert per_dataset_means(records, "accuracy", 0.5) == {"ED": per_ds, "MD": per_ds}
+    assert per_dataset_means(records, 0.5)["accuracy"] == {"ED": per_ds, "MD": per_ds}
     assert summary_markdown(records) == (
         "# Mean scores per metric (noise level 0)\n"
         "\n"
@@ -216,8 +216,7 @@ def test_tables_average_every_score_by_fsum():
 
 def test_compare_ties_metrics_whose_repetitions_are_reordered():
     records = _golden_records()
-    for kind in ("accuracy", "recall", "precision"):
-        means = per_dataset_means(records, kind, 0.0)
+    for means in per_dataset_means(records, 0.0).values():
         assert means["ED"] == means["MD"]
     for signed_rank in (False, True):
         (row,) = compare_to_reference(records, "ED", ["MD"], signed_rank=signed_rank)
@@ -622,6 +621,22 @@ def test_config_errors(tmp_path):
         parse_config(cfg_path)
     with pytest.raises(FileNotFoundError):   # read as a dataset is, so the CLI says "io error"
         parse_config(tmp_path / "absent.cfg")
+
+
+@pytest.mark.parametrize("text, message", (
+    ("datasets = x.csv\nk = x\n", "2: invalid literal for int() with base 10: 'x'"),
+    ("datasets = x.csv\nk = soon\nbogus = 1\n",
+     "2: invalid literal for int() with base 10: 'soon'"),
+    ("datasets = x.csv\nnoise_levels = 0.1, high\ndatasets = y.csv\n",
+     "2: could not convert string to float: 'high'"),
+), ids=("value", "value-before-unknown-key", "value-before-duplicate-key"))
+def test_config_errors_name_the_first_fault_in_the_file(tmp_path, text, message):
+    # each line's value is read before the next line is, so its error names the line
+    path = tmp_path / "k.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == f"{path}:{message}"
 
 
 def test_config_errors_count_only_cr_and_lf_as_line_ends(tmp_path):

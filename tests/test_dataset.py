@@ -102,6 +102,19 @@ def test_load_errors_name_the_file_line(tmp_path, fourth, error, message):
     assert str(info.value) == f"{path}:4: {message}"
 
 
+@pytest.mark.parametrize("text, error, message", (
+    ("1,2,a\n1,x,b\n\n1,2\n", NonNumericError, "2: cell 'x' in column 2 is not numeric"),
+    ("1,2,a\n1,2,\n1,2,3,b\n", MissingValueError, "2: empty class cell"),
+    ("1\n1,2,a\n", EmptyDatasetError, "1: no feature columns"),
+), ids=("cell-before-short-row", "class-before-long-row", "one-column-before-three"))
+def test_load_errors_name_the_first_fault_in_the_file(tmp_path, text, error, message):
+    # each line is checked as it is read, so a later fault cannot hide an earlier one
+    path = _write(tmp_path, text)
+    with pytest.raises(error) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize("data, message", (
     # a form feed ends a line for str.splitlines, not for open(newline="")
     (b"1,2,a\x0c\n1,2,a\n1,x,a\n", "cell 'x' in column 2 is not numeric"),
