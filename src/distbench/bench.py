@@ -20,7 +20,7 @@ import numpy as np
 
 from ._seeds import derive_seed
 from .dataset import Dataset, SplitPlan, load_csv, read_lines, split
-from .errors import ConfigError, DomainViolationError
+from .errors import ConfigError, DistbenchError, DomainViolationError
 from .evaluation import (
     ScoreTriple,
     confusion,
@@ -58,34 +58,28 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.datasets:
-            raise ConfigError("no datasets configured")
-        _check_metrics(self.metrics)
-        if self.k < 1:
-            raise ConfigError("k must be positive")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be positive")
-        if not self.noise_levels:
-            raise ConfigError("no noise levels configured")
-        for level in self.noise_levels:
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
+
+
+def _check_field(name: str, value) -> None:
+    """Refuse a value that the config field ``name`` cannot take. A built config
+    checks every field here, and ``parse_config`` each value as it reads it."""
+    if name in ("datasets", "metrics", "noise_levels") and not value:
+        raise ConfigError(f"no {name.replace('_', ' ')} configured")
+    if name in ("k", "repetitions", "top_n", "workers") and value < 1:
+        raise ConfigError(f"{name} must be positive")
+    if name == "test_fraction" and not 0.0 < value < 1.0:
+        raise ConfigError("test_fraction must be in (0, 1)")
+    if name == "metrics":
+        for abbrev in value:
+            describe(abbrev)  # raises UnknownMetricError
+        _check_once("metric", value)
+    if name == "noise_levels":
+        for level in value:
             if not 0.0 < level < 1.0:
                 raise ConfigError(f"noise level {level} outside (0, 1)")
-        _check_once("noise level", self.noise_levels)
-        if self.top_n < 1:
-            raise ConfigError("top_n must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be positive")
-
-
-def _check_metrics(metrics: tuple[str, ...]) -> None:
-    """At least one metric is listed, each registered and listed once."""
-    if not metrics:
-        raise ConfigError("no metrics configured")
-    for abbrev in metrics:
-        describe(abbrev)  # raises UnknownMetricError
-    _check_once("metric", metrics)
+        _check_once("noise level", value)
 
 
 def _check_once(what: str, items: tuple) -> None:
@@ -134,7 +128,8 @@ def parse_config(path) -> ExperimentConfig:
         try:
             kwargs[key] = (list_metrics() if key == "metrics" and value.lower() == "all"
                            else _CONFIG_KEYS[key](value))
-        except (ValueError, csv.Error) as exc:
+            _check_field(key, kwargs[key])
+        except (ValueError, csv.Error, DistbenchError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
 
     if "datasets" not in kwargs:
@@ -221,9 +216,17 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
     return records, skips
 
 
-def _run_tasks(tasks: list[tuple], workers: int) -> tuple[list[RunRecord], list[SkipRecord]]:
-    """Records of every cell in task order, and each distinct skip once."""
-    workers = min(workers, len(tasks))   # a pool forks all its workers at once
+def _run_cells(cfg: ExperimentConfig, datasets: list[Dataset], levels: tuple[float, ...],
+               metrics: tuple[str, ...]) -> tuple[list[RunRecord], list[SkipRecord]]:
+    """Records of every (dataset, level, repetition) cell in that order, and each
+    distinct skip once. A clean cell is the cell at level 0, whose data ``inject``
+    returns unchanged."""
+    tasks = []
+    for ds in datasets:
+        for level in levels:
+            data = inject(ds, NoiseSpec(level, _noise_seed(cfg.master_seed, ds.name, level)))
+            tasks += [(data, float(level), rep, metrics, cfg) for rep in range(cfg.repetitions)]
+    workers = min(cfg.workers, len(tasks))   # a pool forks all its workers at once
     if workers > 1:
         # imported here, so importing the package loads no process machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -293,14 +296,7 @@ class CleanResult:
 
 def run_clean_phase(cfg: ExperimentConfig) -> CleanResult:
     """Phase one: every configured metric on every dataset, no noise."""
-    return _clean_phase(cfg, _load_datasets(cfg))
-
-
-def _clean_phase(cfg: ExperimentConfig, datasets: list[Dataset]) -> CleanResult:
-    tasks = [(ds, 0.0, rep, cfg.metrics, cfg)
-             for ds in datasets
-             for rep in range(cfg.repetitions)]
-    return CleanResult(*_run_tasks(tasks, cfg.workers))
+    return CleanResult(*_run_cells(cfg, _load_datasets(cfg), (0.0,), cfg.metrics))
 
 
 @dataclass(frozen=True)
@@ -321,21 +317,14 @@ def run_noise_phase(cfg: ExperimentConfig,
     datasets loaded once."""
     if top_metrics is not None:
         top_metrics = tuple(top_metrics)
-        _check_metrics(top_metrics)
+        _check_field("metrics", top_metrics)
     datasets = _load_datasets(cfg)
     clean = None
     if top_metrics is None:
-        clean = _clean_phase(cfg, datasets)
+        clean = CleanResult(*_run_cells(cfg, datasets, (0.0,), cfg.metrics))
         top_metrics = top_metrics_from_summary(summarize(clean.records), cfg.top_n)
-
-    tasks = []
-    for ds in datasets:
-        for level in cfg.noise_levels:
-            noisy = inject(ds, NoiseSpec(level, _noise_seed(cfg.master_seed, ds.name, level)))
-            for rep in range(cfg.repetitions):
-                tasks.append((noisy, float(level), rep, top_metrics, cfg))
-    records, skips = _run_tasks(tasks, cfg.workers)
-    return NoiseResult(records, skips, top_metrics, clean)
+    return NoiseResult(*_run_cells(cfg, datasets, cfg.noise_levels, top_metrics),
+                       top_metrics, clean)
 
 
 @dataclass(frozen=True)
@@ -365,7 +354,7 @@ def compare_to_reference(records: list[RunRecord], reference: str,
         others = [m for m in sorted(present) if m != reference]
     if not others:
         raise ConfigError(f"no metrics to compare with the reference {reference!r}")
-    _check_metrics(tuple(others))
+    _check_field("metrics", tuple(others))
     test = wilcoxon_signed_rank if signed_rank else wilcoxon_rank_sum
     rows = []
     for other in others:

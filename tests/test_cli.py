@@ -1,6 +1,7 @@
 """The bench command line: happy paths and exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
 
@@ -109,6 +110,22 @@ def test_noise_subcommand_published_top(tmp_path):
     records = read_records_csv(out / "noise_records.csv")
     assert "HasD" in {r.metric for r in records}
     assert len({r.metric for r in records}) == 13
+
+
+@pytest.mark.parametrize("line, message", (
+    ("k = 0", "k must be positive"),
+    ("workers = 0", "workers must be positive"),
+    ("test_fraction = 1.5", "test_fraction must be in (0, 1)"),
+    ("metrics = ED, NOPE", "unknown metric 'NOPE'"),
+    ("metrics = ED, ED", "metric listed more than once: ED"),
+    ("noise_levels = 0.3, 0.30", "noise level listed more than once: 0.3"),
+), ids=("k", "workers", "test_fraction", "unknown-metric", "repeated-metric",
+        "repeated-noise-level"))
+def test_a_config_value_its_field_refuses_names_its_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"datasets = tiny.csv\n{line}\n", encoding="utf-8")
+    assert main(["clean", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 
 
 def test_a_repeated_noise_level_exits_nonzero(tmp_path, capsys):
@@ -413,3 +430,41 @@ def test_module_entry_point(workspace):
     proc = subprocess.run([sys.executable, "-m", "distbench", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.startswith("usage: "), proc.stderr
+
+
+# a bench run that first prints the SIMD dispatch targets its numpy enabled,
+# read where numpy 2 (numpy._core) or numpy 1.x (numpy.core) keeps them
+_DISPATCH_REPORTING_BENCH = """
+import sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+print(" ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)))
+from distbench.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_records_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # the ten metrics that call log, log1p or power change distance bits when
+    # numpy leaves its SIMD kernels; ED's arithmetic is correctly rounded anyway
+    ds = make_blobs("blobs", 60, 6, (0.5, 0.5), spread=1.5, seed=11)
+    cfg = write_config(tmp_path / "bench.cfg", [write_dataset_csv(ds, tmp_path / "blobs.csv")],
+                       metrics="BD,JDD,JSD,JefD,KDD,KJD,KLD,LD,TanD,TopD,ED", repetitions=2)
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+
+    def run(out, **extra_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_REPORTING_BENCH, "clean", "--config", str(cfg),
+             "--out", str(tmp_path / out)],
+            env=dict(env, **extra_env), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[0].split(), (tmp_path / out / "records.csv").read_bytes()
+
+    targets, dispatched = run("dispatched")
+    left, baseline = run("baseline", NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    note = ("disabled the dispatch targets " + " ".join(targets) if targets else
+            "this host enables no dispatch target above its baseline, so both runs were alike")
+    assert left == [], f"{note}; still enabled: {left}"
+    assert dispatched == baseline, note
