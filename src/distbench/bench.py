@@ -71,6 +71,8 @@ def _check_field(name: str, value) -> None:
         raise ConfigError(f"{name} must be positive")
     if name == "test_fraction" and not 0.0 < value < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
+    if name == "datasets":
+        _check_once("dataset", value)
     if name == "metrics":
         for abbrev in value:
             describe(abbrev)  # raises UnknownMetricError

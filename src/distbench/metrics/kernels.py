@@ -1,10 +1,11 @@
 """The distance/similarity kernels, the shared cores and the pair terms.
 
 24 measures have a kernel here. The other 30 are finished, in the
-registry, from the shared cores below: reductions such as the sum of
-absolute differences that several measures are simple functions of.
+registry, from the shared cores: reductions such as the sum of absolute
+differences that several measures are simple functions of, kept by name
+in TERMS beside the elementwise pair terms.
 
-Every kernel and core is a pure function of one PairTerms ``t``, the
+Every kernel, term and core is a pure function of one PairTerms ``t``, the
 pair x, y of float ndarrays whose last axis is the vector dimension, so
 the same code evaluates a single pair (n,), a training matrix against
 one query (m, n) vs (n,), or batches of pairs (b, n) vs (b, n): a batch
@@ -23,20 +24,24 @@ the leading axis directly. An import-time probe checks the replayed
 order against the installed numpy and falls back to ``np.sum`` on a
 transposed copy if they disagree.
 
-A PairTerms computes each elementwise term (x - y, min(x, y), ...) and
-each shared core once per query block of a registry.Cell, and each term
-of y alone (ROW_TERMS) once per cell, in the store its blocks share.
+A PairTerms computes each term of TERMS, elementwise (x - y, min(x, y),
+...) or a shared core (``abs_diff_sum``, ...), once per query block of a
+registry.Cell, as an attribute of its one store, and each term of y
+alone (ROW_TERMS) once per cell, in the store its blocks share.
 
 Division by zero and logs of non-positive arguments follow one rule: the
 zero denominator or non-positive log argument is replaced by EPSILON, in
-``_div`` and ``_log`` alone. A zero numerator (or log coefficient) so
-gives a zero of its own sign, which no distance tells apart: every sum
-ends in ``+ 0.0``, and every other consumer squares the term, takes its
-absolute value or passes it to ``_log``. Only exact zeros are replaced,
-so a denominator such as 5e-324 can still overflow to inf, and a zero
-coefficient times an infinite or NaN log is NaN; ``evaluate``,
-``pairwise`` and the registry's Cell refuse a non-finite distance with
-DomainViolationError.
+``_guarded`` (the denominator ``_div`` divides by) and ``_log`` alone.
+A zero numerator (or log coefficient) so gives a zero of its own sign,
+which no distance tells apart: every sum ends in ``+ 0.0``, and every
+other consumer squares the term, takes its absolute value or passes it
+to ``_log``. Only exact zeros are replaced, so a denominator such as
+5e-324 can still overflow to inf, and a zero coefficient times an
+infinite or NaN log is NaN; ``evaluate``, ``pairwise`` and the
+registry's Cell refuse a non-finite distance with DomainViolationError.
+A denominator that several kernels divide by is guarded once, as a
+term: ``guarded_sum`` (x + y) and ``guarded_min`` once per block, the
+row term ``guarded`` (y) once per cell.
 """
 
 from __future__ import annotations
@@ -48,19 +53,23 @@ import numpy as np
 EPSILON = 1e-12
 
 
-def _div(num, den):
-    """num / den, with EPSILON in place of each zero denominator.
-
-    A copy of the denominator holds EPSILON at each zero, so one division
-    gives every term; a zero numerator gives a zero of its own sign.
-    """
-    num = np.asarray(num, dtype=np.float64)
+def _guarded(den):
+    """den, or a copy of it holding EPSILON at each zero."""
     den = np.asarray(den, dtype=np.float64)
     bad = den == 0.0
     if bad.any():
         den = den.copy()
         den[bad] = EPSILON
-    return num / den
+    return den
+
+
+def _div(num, den):
+    """num / den, with EPSILON in place of each zero denominator.
+
+    One division gives every term; a zero numerator gives a zero of its
+    own sign.
+    """
+    return np.asarray(num, dtype=np.float64) / _guarded(den)
 
 
 def _log(arg):
@@ -169,25 +178,25 @@ def _feature_major(a, ndim: int) -> np.ndarray:
 
 
 class PairTerms:
-    """Elementwise terms of x against y, each computed on first use and kept.
+    """The pair terms and shared cores of x against y, each computed on first use and kept.
 
     ``x`` and ``y`` broadcast against each other. ``xf`` and ``yf`` are
     their C-contiguous feature-major copies: the last axis moved to the
     front after both are given the same number of axes, so a (b, 1, n)
     block and (m, n) rows become (n, b, 1) and (n, 1, m). Reading
-    ``t.diff`` and the other names in TERMS computes that term once from
-    the copies, as one contiguous feature-major array such as (n, b, m);
-    ``core(core)`` computes ``core(t)`` once, and ``row(name)`` the term
-    ``name`` of ROW_TERMS (``yf`` among them) once per store ``rows``, a
-    dict a Cell passes to the PairTerms of each block. Inputs, copies,
-    terms, cores and row terms are read-only, so a kernel that writes into
-    one fails loudly instead of changing what the next metric reads.
+    ``t.diff``, ``t.abs_diff_sum`` or any other name in TERMS computes that
+    term once from the copies, as one contiguous feature-major array such
+    as (n, b, m) or, for a core, its (b, m) reduction over the features;
+    ``row(name)`` computes the term ``name`` of ROW_TERMS (``yf`` among
+    them) once per store ``rows``, a dict a Cell passes to the PairTerms of
+    each block. Inputs, copies, terms and row terms are read-only, so a
+    kernel that writes into one fails loudly instead of changing what the
+    next metric reads.
     """
 
     def __init__(self, x, y, rows=None):
         self.x = x
         self.y = y
-        self._cores: dict = {}
         self._rows: dict = {} if rows is None else rows
         self.xf = _frozen(_feature_major(x, max(np.ndim(x), np.ndim(y))))
         self.yf = self.row("yf")
@@ -201,19 +210,24 @@ class PairTerms:
         setattr(self, name, value)
         return value
 
-    def core(self, core):
-        """The value of the shared core ``core``, computed once."""
-        value = self._cores.get(core)
-        if value is None:
-            value = self._cores[core] = _frozen(core(self))
-        return value
-
     def row(self, name):
         """The value of the row term ``name``, computed once per store."""
         value = self._rows.get(name)
         if value is None:
             value = self._rows[name] = _frozen(ROW_TERMS[name](self))
         return value
+
+
+def _pearson_r(t):
+    """Pearson correlation over the features; zero variance maps to r = 0.
+
+    Each mean is the sum over the count, which is how ``np.mean`` divides.
+    """
+    xc = t.xf - _fsum(t.xf) / len(t.xf)
+    num = _fsum(xc * t.row("centred"))
+    den = np.sqrt(_fsum(np.square(xc)) * t.row("centred_square_sum"))
+    r = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
+    return np.clip(r, -1.0, 1.0)
 
 
 # The shared pair terms, by attribute name: each is a function of the
@@ -229,8 +243,33 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "sq_sum": lambda t: np.square(t.xf) + np.square(t.yf),
     "mid": lambda t: 0.5 * t.sum,                                     # JDD, TanD, CSSD
     "sqrt_prod": lambda t: np.sqrt(t.prod),                           # BD, TanD
+    # the denominators several kernels divide by, guarded once (_div's rule)
+    "guarded_sum": lambda t: _guarded(t.sum),   # SquD, PSCSD, ClaD, KDD, TopD, JSD
+    "guarded_min": lambda t: _guarded(t.min),   # VWHD, VSDF2
     # x ln(x / mid): KDD's terms, and half of Topsoe's
-    "x_log_x_mid": lambda t: _xlog(t.xf, _div(2.0 * t.xf, t.sum)),
+    "x_log_x_mid": lambda t: _xlog(t.xf, 2.0 * t.xf / t.guarded_sum),
+    # The shared cores: reductions over the features. The registry finishes
+    # 30 measures from them, so factor-related measures agree to the last ulp.
+    "abs_diff_sum": lambda t: _fsum(t.abs_diff),
+    # a maximum does not depend on order
+    "abs_diff_max": lambda t: np.maximum.reduce(t.abs_diff, axis=0),
+    "sq_diff_sum": lambda t: _fsum(t.sq_diff),
+    "value_sum": lambda t: _fsum(t.sum),
+    "max_sum": lambda t: _fsum(t.max),
+    "min_sum": lambda t: _fsum(t.min),
+    # positions where x or y is non-zero, as a float
+    "nonzero_count": lambda t: np.sum(t.sq_sum != 0.0, axis=0).astype(np.float64),
+    "inner_product": lambda t: _fsum(t.prod),
+    "x_square_sum": lambda t: _fsum(np.square(t.xf)),   # y's is the row term "square_sum"
+    "squared_chord_sum": lambda t: _fsum(np.square(np.sqrt(t.xf) - t.row("sqrt"))),
+    "squared_chi2_sum": lambda t: _fsum(t.sq_diff / t.guarded_sum),
+    # the directed chi-squared sums: sum((x - y)^2 / x), and sum((y - x)^2 / y)
+    # as (x - y)^2, which squaring makes the same bits
+    "neyman_sum": lambda t: _fsum(_div(t.sq_diff, t.xf)),
+    "pearson_sum": lambda t: _fsum(t.sq_diff / t.row("guarded")),
+    # Topsoe's information statistic, twice the Jensen-Shannon divergence
+    "topsoe_sum": lambda t: _fsum(t.x_log_x_mid + _xlog(t.yf, 2.0 * t.yf / t.guarded_sum)),
+    "pearson_r": _pearson_r,
 }
 
 # The terms of y alone: functions of a PairTerms reading only ``t.y``, row
@@ -238,6 +277,7 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
 # to ``run``) make -0.0 0.0, so no gap is -0.0.
 ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "yf": lambda t: _feature_major(t.y, max(np.ndim(t.x), np.ndim(t.y))),
+    "guarded": lambda t: _guarded(t.yf),                              # PCSD, KLD
     "square_sum": lambda t: _fsum(np.square(t.yf)),
     "unit": lambda t: _div(t.yf, np.sqrt(t.row("square_sum"))),      # ChoD
     "sqrt": lambda t: np.sqrt(t.yf),                                  # SCD, MatD, HeD
@@ -255,96 +295,6 @@ ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "order": lambda t: np.argsort(t.row("flat"), kind="stable"),
     "run": lambda t: t.row("flat")[t.row("order")],   # the values in one ascending run
 }
-
-
-# Shared cores: reductions ``t -> values`` over the features.
-# The registry finishes 30 measures from them, so factor-related measures
-# agree to the last ulp.
-
-def abs_diff_sum(t):
-    """Sum of absolute component differences."""
-    return _fsum(t.abs_diff)
-
-
-def abs_diff_max(t):
-    """Largest absolute component difference."""
-    return np.maximum.reduce(t.abs_diff, axis=0)   # a maximum does not depend on order
-
-
-def sq_diff_sum(t):
-    """Sum of squared component differences."""
-    return _fsum(t.sq_diff)
-
-
-def value_sum(t):
-    """Sum of the component sums x + y."""
-    return _fsum(t.sum)
-
-
-def max_sum(t):
-    """Sum of the component maxima."""
-    return _fsum(t.max)
-
-
-def min_sum(t):
-    """Sum of the component minima."""
-    return _fsum(t.min)
-
-
-def nonzero_count(t):
-    """Count of positions where x or y is non-zero, as a float."""
-    return np.sum(t.sq_sum != 0.0, axis=0).astype(np.float64)
-
-
-def inner_product(t):
-    """Sum of component products."""
-    return _fsum(t.prod)
-
-
-def x_square_sum(t):
-    """Sum of the squares of x; y's is ``t.row("square_sum")``."""
-    return _fsum(np.square(t.xf))
-
-
-def squared_chord_sum(t):
-    """Sum of squared differences of component square roots."""
-    return _fsum(np.square(np.sqrt(t.xf) - t.row("sqrt")))
-
-
-def squared_chi2_sum(t):
-    """Sum of squared differences over component sums."""
-    return _fsum(_div(t.sq_diff, t.sum))
-
-
-def neyman_sum(t):
-    """Directed chi-squared sum with x as the reference: sum((x - y)^2 / x)."""
-    return _fsum(_div(t.sq_diff, t.xf))
-
-
-def pearson_sum(t):
-    """Directed chi-squared sum with y as the reference: sum((y - x)^2 / y).
-
-    (y - x)^2 is (x - y)^2 bit for bit: the two differences are exact
-    negations, zeros included up to sign, and squaring drops the sign.
-    """
-    return _fsum(_div(t.sq_diff, t.yf))
-
-
-def topsoe_sum(t):
-    """Topsoe information statistic, twice the Jensen-Shannon divergence."""
-    return _fsum(t.x_log_x_mid + _xlog(t.yf, _div(2.0 * t.yf, t.sum)))
-
-
-def pearson_r(t):
-    """Pearson correlation over the features; zero variance maps to r = 0.
-
-    Each mean is the sum over the count, which is how ``np.mean`` divides.
-    """
-    xc = t.xf - _fsum(t.xf) / len(t.xf)
-    num = _fsum(xc * t.row("centred"))
-    den = np.sqrt(_fsum(np.square(xc)) * t.row("centred_square_sum"))
-    r = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
-    return np.clip(r, -1.0, 1.0)
 
 
 # L1 family
@@ -368,7 +318,7 @@ def chord(t):
     vectors, which equals sqrt(2 - 2 cos) without the cancellation that
     form suffers near identical vectors.
     """
-    xn = _div(t.xf, np.sqrt(t.core(x_square_sum)))
+    xn = _div(t.xf, np.sqrt(t.x_square_sum))
     return np.sqrt(_fsum(np.square(xn - t.row("unit"))))
 
 
@@ -383,7 +333,7 @@ def bhattacharyya(t):
 
 def clark(t):
     """Root of summed squared relative differences |x-y|/(x+y)."""
-    return np.sqrt(_fsum(np.square(_div(t.abs_diff, t.sum))))
+    return np.sqrt(_fsum(np.square(t.abs_diff / t.guarded_sum)))
 
 
 def divergence(t):
@@ -405,7 +355,7 @@ def squared_chi_squared(t):
 
 def kullback_leibler(t):
     """Relative entropy of x with respect to y; not symmetric."""
-    return _fsum(_xlog(t.xf, _div(t.xf, t.yf)))
+    return _fsum(_xlog(t.xf, t.xf / t.row("guarded")))
 
 
 def jeffreys(t):
@@ -433,7 +383,7 @@ def jensen_difference(t):
 
 def vicis_wave_hedges(t):
     """Absolute differences over the component minima."""
-    return _fsum(_div(t.abs_diff, t.min))
+    return _fsum(t.abs_diff / t.guarded_min)
 
 
 def vicis_symmetric1(t):
@@ -443,7 +393,7 @@ def vicis_symmetric1(t):
 
 def vicis_symmetric2(t):
     """Squared differences over the component minima."""
-    return _fsum(_div(t.sq_diff, t.min))
+    return _fsum(t.sq_diff / t.guarded_min)
 
 
 def vicis_symmetric3(t):

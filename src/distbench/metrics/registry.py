@@ -39,19 +39,19 @@ class Family(str, Enum):
 class CoreKernel:
     """A kernel written as a finisher applied to shared cores.
 
-    Each core is a reduction ``t -> values`` over the features of a
-    PairTerms ``t``; ``finish(values, t)`` turns the tuple of core values
-    into distances, reading the vectors from ``t`` if it needs them.
-    Calling the kernel on ``t`` takes each core from ``t.core``, which
-    computes it once per PairTerms, so a Cell computes each core once per
-    query block for every metric that shares it.
+    Each core is named by its term in ``kernels.TERMS``: a reduction over
+    the features of a PairTerms ``t``. ``finish(values, t)`` turns the
+    tuple of core values into distances, reading the vectors from ``t`` if
+    it needs them. Calling the kernel on ``t`` reads each core as the term
+    ``getattr(t, name)``, which the PairTerms computes once, so a Cell
+    computes each core once per query block for every metric that shares it.
     """
 
-    cores: tuple[Callable[[PairTerms], np.ndarray], ...]
+    cores: tuple[str, ...]
     finish: Callable[..., np.ndarray]
 
     def __call__(self, t: PairTerms):
-        return self.finish(tuple(t.core(core) for core in self.cores), t)
+        return self.finish(tuple(getattr(t, core) for core in self.cores), t)
 
 
 # Finishers: (core values, pair terms) -> distances. Module-level
@@ -163,62 +163,62 @@ def _build_registry() -> dict[str, MetricDescriptor]:
     C = CoreKernel
     rows = [
         # Lp Minkowski
-        MetricDescriptor("MD", "Manhattan", F.MINKOWSKI, C((k.abs_diff_sum,), _itself),
+        MetricDescriptor("MD", "Manhattan", F.MINKOWSKI, C(("abs_diff_sum",), _itself),
                          full_metric=True),
-        MetricDescriptor("CD", "Chebyshev", F.MINKOWSKI, C((k.abs_diff_max,), _itself),
+        MetricDescriptor("CD", "Chebyshev", F.MINKOWSKI, C(("abs_diff_max",), _itself),
                          full_metric=True),
-        MetricDescriptor("ED", "Euclidean", F.MINKOWSKI, C((k.sq_diff_sum,), _root),
+        MetricDescriptor("ED", "Euclidean", F.MINKOWSKI, C(("sq_diff_sum",), _root),
                          full_metric=True),
         # L1
         MetricDescriptor("LD", "Lorentzian", F.L1, k.lorentzian, full_metric=True),
         MetricDescriptor("CanD", "Canberra", F.L1, k.canberra),
-        MetricDescriptor("SD", "Sorensen", F.L1, C((k.abs_diff_sum, k.value_sum), _ratio),
+        MetricDescriptor("SD", "Sorensen", F.L1, C(("abs_diff_sum", "value_sum"), _ratio),
                          nonneg_output=False),
-        MetricDescriptor("SoD", "Soergel", F.L1, C((k.abs_diff_sum, k.max_sum), _ratio),
+        MetricDescriptor("SoD", "Soergel", F.L1, C(("abs_diff_sum", "max_sum"), _ratio),
                          nonneg_output=False),
-        MetricDescriptor("KD", "Kulczynski", F.L1, C((k.abs_diff_sum, k.min_sum), _ratio),
+        MetricDescriptor("KD", "Kulczynski", F.L1, C(("abs_diff_sum", "min_sum"), _ratio),
                          nonneg_output=False),
-        MetricDescriptor("MCD", "Mean Character", F.L1, C((k.abs_diff_sum,), _per_dimension),
+        MetricDescriptor("MCD", "Mean Character", F.L1, C(("abs_diff_sum",), _per_dimension),
                          full_metric=True),
-        MetricDescriptor("NID", "Non Intersection", F.L1, C((k.abs_diff_sum,), _half),
+        MetricDescriptor("NID", "Non Intersection", F.L1, C(("abs_diff_sum",), _half),
                          full_metric=True),
         # Inner product
         MetricDescriptor("JacD", "Jaccard", F.INNER_PRODUCT,
-                         C((k.sq_diff_sum, k.inner_product, k.x_square_sum), _jaccard)),
+                         C(("sq_diff_sum", "inner_product", "x_square_sum"), _jaccard)),
         MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT,
-                         C((k.inner_product, k.x_square_sum), _cosine), zero_self=False),
+                         C(("inner_product", "x_square_sum"), _cosine), zero_self=False),
         MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT,
-                         C((k.inner_product, k.x_square_sum), _dice), zero_self=False),
+                         C(("inner_product", "x_square_sum"), _dice), zero_self=False),
         MetricDescriptor("ChoD", "Chord", F.INNER_PRODUCT, k.chord),
         # Squared chord
         MetricDescriptor("BD", "Bhattacharyya", F.SQUARED_CHORD, k.bhattacharyya,
                          zero_self=False, nonneg_output=False, requires_nonneg_inputs=True),
         MetricDescriptor("SCD", "Squared Chord", F.SQUARED_CHORD,
-                         C((k.squared_chord_sum,), _itself), requires_nonneg_inputs=True),
-        MetricDescriptor("MatD", "Matusita", F.SQUARED_CHORD, C((k.squared_chord_sum,), _root),
+                         C(("squared_chord_sum",), _itself), requires_nonneg_inputs=True),
+        MetricDescriptor("MatD", "Matusita", F.SQUARED_CHORD, C(("squared_chord_sum",), _root),
                          full_metric=True, requires_nonneg_inputs=True),
         MetricDescriptor("HeD", "Hellinger", F.SQUARED_CHORD,
-                         C((k.squared_chord_sum,), _root_of_twice),
+                         C(("squared_chord_sum",), _root_of_twice),
                          full_metric=True, requires_nonneg_inputs=True),
         # Squared L2
         MetricDescriptor("SED", "Squared Euclidean", F.SQUARED_L2,
-                         C((k.sq_diff_sum,), _itself)),
+                         C(("sq_diff_sum",), _itself)),
         MetricDescriptor("ClaD", "Clark", F.SQUARED_L2, k.clark),
         MetricDescriptor("NCSD", "Neyman chi-squared", F.SQUARED_L2,
-                         C((k.neyman_sum,), _itself), symmetric=False, nonneg_output=False),
+                         C(("neyman_sum",), _itself), symmetric=False, nonneg_output=False),
         MetricDescriptor("PCSD", "Pearson chi-squared", F.SQUARED_L2,
-                         C((k.pearson_sum,), _itself), symmetric=False, nonneg_output=False),
+                         C(("pearson_sum",), _itself), symmetric=False, nonneg_output=False),
         MetricDescriptor("SquD", "Squared chi-squared", F.SQUARED_L2,
-                         C((k.squared_chi2_sum,), _itself), nonneg_output=False),
+                         C(("squared_chi2_sum",), _itself), nonneg_output=False),
         MetricDescriptor("PSCSD", "Probabilistic Symmetric chi-squared", F.SQUARED_L2,
-                         C((k.squared_chi2_sum,), _twice), nonneg_output=False),
+                         C(("squared_chi2_sum",), _twice), nonneg_output=False),
         MetricDescriptor("DivD", "Divergence", F.SQUARED_L2, k.divergence),
         MetricDescriptor("ASCSD", "Additive Symmetric chi-squared", F.SQUARED_L2,
                          k.additive_symmetric_chi2, nonneg_output=False),
         MetricDescriptor("AD", "Average", F.SQUARED_L2,
-                         C((k.sq_diff_sum,), _root_per_dimension), full_metric=True),
+                         C(("sq_diff_sum",), _root_per_dimension), full_metric=True),
         MetricDescriptor("MCED", "Mean Censored Euclidean", F.SQUARED_L2,
-                         C((k.sq_diff_sum, k.nonzero_count), _root_per_nonzero)),
+                         C(("sq_diff_sum", "nonzero_count"), _root_per_nonzero)),
         MetricDescriptor("SCSD", "Squared Chi-Squared", F.SQUARED_L2, k.squared_chi_squared),
         # Shannon entropy
         MetricDescriptor("KLD", "Kullback-Leibler", F.SHANNON_ENTROPY, k.kullback_leibler,
@@ -227,9 +227,9 @@ def _build_registry() -> dict[str, MetricDescriptor]:
                          requires_nonneg_inputs=True),
         MetricDescriptor("KDD", "K divergence", F.SHANNON_ENTROPY, k.k_divergence,
                          symmetric=False, nonneg_output=False, requires_nonneg_inputs=True),
-        MetricDescriptor("TopD", "Topsoe", F.SHANNON_ENTROPY, C((k.topsoe_sum,), _itself),
+        MetricDescriptor("TopD", "Topsoe", F.SHANNON_ENTROPY, C(("topsoe_sum",), _itself),
                          requires_nonneg_inputs=True),
-        MetricDescriptor("JSD", "Jensen-Shannon", F.SHANNON_ENTROPY, C((k.topsoe_sum,), _half),
+        MetricDescriptor("JSD", "Jensen-Shannon", F.SHANNON_ENTROPY, C(("topsoe_sum",), _half),
                          requires_nonneg_inputs=True),
         MetricDescriptor("JDD", "Jensen difference", F.SHANNON_ENTROPY, k.jensen_difference,
                          requires_nonneg_inputs=True),
@@ -242,28 +242,28 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         MetricDescriptor("VSDF3", "Vicis Symmetric 3", F.VICISSITUDE, k.vicis_symmetric3,
                          nonneg_output=False),
         MetricDescriptor("MSCD", "Max Symmetric chi-squared", F.VICISSITUDE,
-                         C((k.neyman_sum, k.pearson_sum), _larger), nonneg_output=False),
+                         C(("neyman_sum", "pearson_sum"), _larger), nonneg_output=False),
         MetricDescriptor("MiSCSD", "Min Symmetric chi-squared", F.VICISSITUDE,
-                         C((k.neyman_sum, k.pearson_sum), _smaller), nonneg_output=False),
+                         C(("neyman_sum", "pearson_sum"), _smaller), nonneg_output=False),
         # Other
         MetricDescriptor("AvgD", "Average (L1, Linf)", F.OTHER,
-                         C((k.abs_diff_sum, k.abs_diff_max), _mean), full_metric=True),
+                         C(("abs_diff_sum", "abs_diff_max"), _mean), full_metric=True),
         MetricDescriptor("KJD", "Kumar-Johnson", F.OTHER, k.kumar_johnson,
                          zero_self=False, requires_nonneg_inputs=True),
         MetricDescriptor("TanD", "Taneja", F.OTHER, k.taneja, requires_nonneg_inputs=True),
-        MetricDescriptor("PeaD", "Pearson", F.OTHER, C((k.pearson_r,), _one_minus),
+        MetricDescriptor("PeaD", "Pearson", F.OTHER, C(("pearson_r",), _one_minus),
                          zero_self=False),
         MetricDescriptor("CorD", "Correlation", F.OTHER,
-                         C((k.pearson_r,), _half_of_one_minus), zero_self=False),
+                         C(("pearson_r",), _half_of_one_minus), zero_self=False),
         MetricDescriptor("SPeaD", "Squared Pearson", F.OTHER,
-                         C((k.pearson_r,), _squared_pearson), zero_self=False),
+                         C(("pearson_r",), _squared_pearson), zero_self=False),
         MetricDescriptor("HamD", "Hamming", F.OTHER, k.hamming, full_metric=True),
         MetricDescriptor("HauD", "Hausdorff", F.OTHER, k.hausdorff),
         MetricDescriptor("CSSD", "Chi-squared statistic", F.OTHER, k.chi2_statistic,
                          symmetric=False, nonneg_output=False),
         MetricDescriptor("WIAD", "Whittaker's index of association", F.OTHER, k.whittaker),
         MetricDescriptor("MeeD", "Meehl", F.OTHER, k.meehl),
-        MetricDescriptor("MotD", "Motyka", F.OTHER, C((k.max_sum, k.value_sum), _ratio),
+        MetricDescriptor("MotD", "Motyka", F.OTHER, C(("max_sum", "value_sum"), _ratio),
                          zero_self=False, nonneg_output=False),
         MetricDescriptor("HasD", "Hassanat", F.OTHER, k.hassanat, full_metric=True),
     ]

@@ -221,6 +221,11 @@ def div_ref(num, den):
     return np.where(bad, np.where(num == 0.0, 0.0, num / EPSILON), out)
 
 
+def guarded_ref(den):
+    den = np.asarray(den, dtype=np.float64)
+    return np.where(den == 0.0, EPSILON, den)
+
+
 def log_ref(arg):
     arg = np.asarray(arg, dtype=np.float64)
     return np.log(np.where(arg <= 0.0, EPSILON, arg))

@@ -119,11 +119,14 @@ def test_noise_subcommand_published_top(tmp_path):
     ("metrics = ED, NOPE", "unknown metric 'NOPE'"),
     ("metrics = ED, ED", "metric listed more than once: ED"),
     ("noise_levels = 0.3, 0.30", "noise level listed more than once: 0.3"),
+    ("datasets = tiny.csv, tiny.csv", "dataset listed more than once: tiny.csv"),
 ), ids=("k", "workers", "test_fraction", "unknown-metric", "repeated-metric",
-        "repeated-noise-level"))
+        "repeated-noise-level", "repeated-dataset"))
 def test_a_config_value_its_field_refuses_names_its_line(tmp_path, capsys, line, message):
+    # the value on line 2 is refused as it is read, before the end of the file
+    # is checked; the comment on line 1 still counts as a line
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"datasets = tiny.csv\n{line}\n", encoding="utf-8")
+    cfg.write_text(f"# first line\n{line}\n", encoding="utf-8")
     assert main(["clean", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 

@@ -9,7 +9,7 @@ from distbench import (Cell, ExperimentConfig, KnnModel, SplitPlan, classify, cl
                        describe, list_metrics, pairwise, split)
 from distbench.bench import _run_block, _split_seed
 from distbench.errors import DimensionMismatchError, DomainViolationError
-from distbench.metrics import CoreKernel, kernels, registry
+from distbench.metrics import kernels, registry
 from distbench.metrics.kernels import PairTerms
 
 from _reference import vote_ref
@@ -133,17 +133,13 @@ def test_shared_core_is_computed_once_per_cell(monkeypatch):
     train, test = split(ds, plan, 1)
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 5 * train.features.size)
     pairs = []
+    abs_diff_sum = kernels.TERMS["abs_diff_sum"]
 
     def counting(t):
         pairs.append(int(np.prod(np.broadcast_shapes(np.shape(t.x), np.shape(t.y))[:-1])))
-        return kernels.abs_diff_sum(t)
+        return abs_diff_sum(t)
 
-    for abbrev in metrics:
-        desc = describe(abbrev)
-        cores = tuple(counting if core is kernels.abs_diff_sum else core
-                      for core in desc.func.cores)
-        monkeypatch.setitem(registry.REGISTRY, abbrev,
-                            dataclasses.replace(desc, func=CoreKernel(cores, desc.func.finish)))
+    monkeypatch.setitem(kernels.TERMS, "abs_diff_sum", counting)
     records, skips = _run_block(ds, 0.0, 1, metrics, cfg)
     assert [r.metric for r in records] == list(metrics) and not skips
     assert len(pairs) > 1                      # the queries ran in several blocks
@@ -162,21 +158,13 @@ def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
             monkeypatch.setitem(terms, name,
                                 lambda t, name=name, recipe=recipe, log=log: (log.append(name),
                                                                               recipe(t))[1])
-    core = kernels.PairTerms.core   # every shared core is computed through it
-
-    def counting(t, func):
-        if func not in t._cores:     # computed now, not read back from the PairTerms
-            computed.append(func.__name__)
-        return core(t, func)
-
-    monkeypatch.setattr(kernels.PairTerms, "core", counting)
     cell = Cell(queries, rows, list_metrics())
     blocks = 0
     for block in cell.blocks():
         blocks += 1
         for desc in cell.live():
             pairwise(desc, block, rows, cell)
-    cores = {core.__name__ for abbrev in list_metrics()
+    cores = {core for abbrev in list_metrics()
              for core in getattr(describe(abbrev).func, "cores", ())}
     assert blocks == 3 and not cell.skips
     assert sorted(set(computed)) == sorted(set(kernels.TERMS) | cores)
@@ -256,19 +244,19 @@ def test_core_store_keeps_no_core_from_a_failed_call(monkeypatch):
     rows = rng.uniform(0.0, 1.0, size=(8, 3))
     queries = rng.uniform(0.0, 1.0, size=(6, 3))
     monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 2 * rows.size)   # blocks of 2 queries
+    want = _reference(describe("MCD"), queries, rows)
     calls = []
+    abs_diff_sum = kernels.TERMS["abs_diff_sum"]
 
     def failing_second_call(t):
         calls.append(len(t.x))
         if len(calls) == 2:
             raise FloatingPointError("second call")
-        return kernels.abs_diff_sum(t)
+        return abs_diff_sum(t)
 
-    md, mcd = (dataclasses.replace(describe(a), func=CoreKernel((failing_second_call,),
-                                                                describe(a).func.finish))
-               for a in ("MD", "MCD"))
+    monkeypatch.setitem(kernels.TERMS, "abs_diff_sum", failing_second_call)
+    md, mcd = describe("MD"), describe("MCD")
     cell = Cell(queries, rows, (md, mcd))
-    want = _reference(describe("MCD"), queries, rows)
     blocks = cell.blocks()
     block = next(blocks)
     pairwise(md, block, rows, cell)

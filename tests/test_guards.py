@@ -1,6 +1,6 @@
 """The guard helpers against their full-array references.
 
-``_div``, ``_log`` and ``hassanat`` substitute only the flagged
+``_div``, ``_guarded``, ``_log`` and ``hassanat`` substitute only the flagged
 positions, and ``_xlog`` and ``jeffreys`` leave a zero coefficient's term
 to the product: a zero of its own sign, where the ``np.where`` forms in
 ``_reference`` give +0.0. No distance tells the two apart, so every
@@ -64,6 +64,7 @@ def test_guard_helpers_equal_their_references(case, rule, monkeypatch):
     got = {abbrev: _run(describe(abbrev), x, y) for abbrev in list_metrics()}
     monkeypatch.setattr(kernels, "_div", ref.div_ref)
     monkeypatch.setattr(registry, "_div", ref.div_ref)
+    monkeypatch.setattr(kernels, "_guarded", ref.guarded_ref)   # the shared denominators
     monkeypatch.setattr(kernels, "_xlog", ref.xlog_ref)
     originals = {"JefD": ref.jeffreys_ref, "HasD": ref.hassanat_ref}
     for abbrev in list_metrics():

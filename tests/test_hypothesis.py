@@ -94,6 +94,7 @@ def test_every_metric_equals_its_guard_references_bit_for_bit(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_div", ref.div_ref)
         patch.setattr(registry, "_div", ref.div_ref)
+        patch.setattr(kernels, "_guarded", ref.guarded_ref)   # the shared denominators
         patch.setattr(kernels, "_xlog", ref.xlog_ref)
         for desc, (bits, caught) in zip(metrics, got):
             if desc.abbrev in originals:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_descriptor_carries_default_guard_policy():
     assert "guard" not in {f.name for f in dataclasses.fields(KnnModel)}
     for func in (evaluate, similarity, pairwise, KnnModel.from_dataset):
         assert "guard" not in inspect.signature(func).parameters, func.__name__
+
+
+def test_every_descriptor_survives_pickle():
+    # a descriptor pickles, its kernel and finisher by import path and its
+    # cores by name, so a copy sent to another process scores the same bits
+    rng = np.random.default_rng(23)
+    rows = rng.choice(np.array([0.0, 0.5, 1.0, 2.0]), size=(9, 5))
+    queries = rng.choice(np.array([0.0, 0.5, 1.0, 2.0]), size=(4, 5))
+    rows[2] = 0.0                                # zero sums, minima and rows
+    queries[0, :3] = 0.0
+    for abbrev in list_metrics():
+        desc = describe(abbrev)
+        copy = pickle.loads(pickle.dumps(desc))
+        want = pairwise(desc, queries, rows)
+        assert np.array_equal(pairwise(copy, queries, rows).view(np.int64),
+                              want.view(np.int64)), abbrev
 
 
 def test_full_metric_implies_other_flags():
