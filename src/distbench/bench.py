@@ -183,31 +183,38 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
 
     The cell walks the split's query blocks and classifies each block
     with every metric still live, so the metrics share each block's pair
-    terms and cores. A metric whose domain excludes the features, or
-    whose distances in any block are not finite, is skipped with the
-    reason the cell gives; the others still run. Records and skips come
-    back in the order of ``metrics``.
+    terms and cores. Each block's predictions go into the one (metric,
+    query) array of the cell, so the cell holds no per-block array past
+    its block. A metric whose domain excludes the features, or whose
+    distances in any block are not finite, is skipped with the reason the
+    cell gives; the others still run. Records and skips come back in the
+    order of ``metrics``.
     """
     plan = SplitPlan(cfg.test_fraction, cfg.repetitions,
                      _split_seed(cfg.master_seed, ds.name, level))
     train, test = split(ds, plan, repetition)
     cell = Cell(test.features, train.features, metrics)
     models = {desc.abbrev: KnnModel.from_dataset(train, desc, k=cfg.k) for desc in cell.live()}
-    predicted: dict[str, list] = {abbrev: [] for abbrev in models}
+    predicted = np.empty((len(models), len(test.labels)), dtype=np.int64)
+    row = {abbrev: i for i, abbrev in enumerate(models)}
     seconds = dict.fromkeys(models, 0.0)
+    start = 0
     for block in cell.blocks():
+        stop = start + len(block)
         for desc in cell.live():
             started = time.perf_counter()
             try:
-                predicted[desc.abbrev].append(classify_batch(models[desc.abbrev], block, cell))
+                predicted[row[desc.abbrev], start:stop] = classify_batch(
+                    models[desc.abbrev], block, cell)
             except DomainViolationError:
                 pass  # the cell has recorded the skip, so the metric is no longer live
             seconds[desc.abbrev] += time.perf_counter() - started
+        start = stop
     records = []
     for desc in cell.live():
         abbrev = desc.abbrev
         started = time.perf_counter()
-        triple = score(confusion(test.labels, np.concatenate(predicted[abbrev]), ds.n_classes))
+        triple = score(confusion(test.labels, predicted[row[abbrev]], ds.n_classes))
         elapsed_ms = (seconds[abbrev] + time.perf_counter() - started) * 1000.0
         print(f"cell dataset={ds.name} metric={abbrev} level={level} "
               f"rep={repetition} accuracy={triple.accuracy:.4f} ({elapsed_ms:.1f} ms)",

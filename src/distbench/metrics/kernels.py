@@ -286,6 +286,8 @@ ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "centred": lambda t: t.yf - _fsum(t.yf) / len(t.yf),              # PeaD, CorD, SPeaD
     "centred_square_sum": lambda t: _fsum(np.square(t.row("centred"))),
     "share": lambda t: _div(t.yf, _fsum(t.yf)),                       # WIAD
+    "one_plus": lambda t: 1.0 + t.yf,                                 # HasD
+    "has_negative": lambda t: (t.yf < 0.0).any(),                     # HasD
     # each (finite) row sorted between -inf and inf, the rows end to end
     "closed": lambda t: np.sort(np.hstack((t.y + 0.0, np.full((len(t.y), 2), [-np.inf, np.inf]))),
                                 axis=1).ravel(),
@@ -448,6 +450,8 @@ def _sorted_hausdorff(q, t):
     one ``searchsorted``, and both directed distances follow by counting
     and running extrema, each a maximum over a feature axis laid out
     ahead of the rows; a maximum of finite gaps does not depend on order.
+    Each array of gaps is built in place, in the buffers of its two
+    operands, so the search keeps no temporary beside them.
     """
     b, n = q.shape
     m = len(t.y)
@@ -459,10 +463,15 @@ def _sorted_hausdorff(q, t):
     below[t.row("order")] = np.searchsorted(u, t.row("run"))
     # query -> row: the last value of each sorted row that is <= each u, as (k, m)
     counts = np.bincount(below * m + t.row("owner"), minlength=(k + 1) * m)
-    last = t.row("row_base") + np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
-    gaps = np.minimum(np.take(closed, last + 1) - u[:, None],
-                      u[:, None] - np.take(closed, last))
+    last = np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
+    del counts
+    last += t.row("row_base")
+    at_or_below = np.take(closed, last)
+    last += 1
+    gaps = _gaps(np.take(closed, last), u[:, None], at_or_below)
+    del last, at_or_below
     to_rows = np.maximum.reduce(np.take(gaps, slot.T, axis=0), axis=0)
+    del gaps
     # row -> query: each query's nearest values below and at-or-above every training value
     mine = np.zeros((b, k), dtype=bool)
     mine[np.arange(b)[:, None], slot] = True
@@ -470,10 +479,16 @@ def _sorted_hausdorff(q, t):
     lower = np.hstack((-edge, np.maximum.accumulate(np.where(mine, u, -np.inf), axis=1)))
     upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
                        edge))
-    gaps = np.minimum(np.take(upper, below, axis=1) - flat,
-                      flat - np.take(lower, below, axis=1))
+    gaps = _gaps(np.take(upper, below, axis=1), flat, np.take(lower, below, axis=1))
     to_query = np.maximum.reduce(gaps.reshape(b, n, m), axis=1)
-    return np.maximum(to_rows, to_query)
+    return np.maximum(to_rows, to_query, out=to_query)
+
+
+def _gaps(upper, v, lower):
+    """min(upper - v, v - lower), written into ``upper``; ``lower`` is overwritten too."""
+    upper -= v
+    np.subtract(v, lower, out=lower)
+    return np.minimum(upper, lower, out=upper)
 
 
 def chi2_statistic(t):
@@ -499,17 +514,24 @@ def hassanat(t):
     minimum is negative both numerator and denominator are shifted by
     |min| for any reals. The exact term is below 1 but rounds to 1.0 once
     the ratio is at most 2**-54, as for 0 against 1e20.
+
+    Rounding 1 + v is monotone in v, so 1 + min is the minimum of 1 + x
+    and the row term 1 + y, bit for bit, and 1 + max their maximum: the
+    pair's min and max terms are read only when x or y holds a negative.
     """
-    lo, hi = t.min, t.max
-    shifted = lo < 0.0
+    one_x = 1.0 + t.xf
+    one_y = t.row("one_plus")
     # An overflowed denominator gives 1 - 1/inf, the correctly rounded 1.0.
     with np.errstate(over="ignore"):
-        num = 1.0 + lo
-        den = 1.0 + hi
-        if shifted.any():
+        num = np.minimum(one_x, one_y)
+        den = np.maximum(one_x, one_y)
+        if (t.xf < 0.0).any() or t.row("has_negative"):
+            lo = t.min
+            shifted = lo < 0.0
             # lo + shift is exactly 0, so equal values give 0 at any
             # magnitude; 1 + lo + shift would round 1 away below about -2**53.
             shift = -lo[shifted]
             num[shifted] = 1.0 + (lo[shifted] + shift)
-            den[shifted] = 1.0 + (hi[shifted] + shift)
-        return _fsum(1.0 - num / den)
+            den[shifted] = 1.0 + (t.max[shifted] + shift)
+        num /= den
+        return _fsum(np.subtract(1.0, num, out=num))

@@ -332,9 +332,11 @@ def similarity(metric: str | MetricDescriptor, x, y) -> float:
 
 
 # Elements in one query block's (b, m, n) kernel temporaries (256 KiB of
-# doubles). Chosen with perfbench: once the process keeps its freed heap
-# (heap.keep_freed_heap), 2**14 to 2**16 time alike on both workloads,
-# and larger budgets only raise peak memory.
+# doubles). Chosen with perfbench, the process keeping its freed heap
+# (heap.keep_freed_heap), 3 clean_sweep runs per budget on a 2-core host:
+# at 2**14 the 660x16 rows of its largest set drop to one query per block,
+# and a pass took 3.2-3.4 s against 2.2-2.7 s for 2.6 MB less peak RSS
+# (43.5 against 46.2 MB); 2**16 took 2.2-2.3 s and raised it to 51.3 MB.
 BLOCK_ELEMENTS = 2 ** 15
 
 

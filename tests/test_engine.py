@@ -1,6 +1,7 @@
 """The blocked kernel engine: bitwise agreement with the per-query kernels."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,36 @@ def test_shared_core_is_computed_once_per_cell(monkeypatch):
     assert [r.metric for r in records] == list(metrics) and not skips
     assert len(pairs) > 1                      # the queries ran in several blocks
     assert sum(pairs) == len(test) * len(train)
+
+
+def _cell_peak(ds, cfg) -> int:
+    """The tracemalloc peak of one ``_run_block``, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records, skips = _run_block(ds, 0.0, 0, cfg.metrics, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(cfg.metrics) and not skips
+    return peak - before
+
+
+def test_a_cell_keeps_one_prediction_per_metric_and_query(monkeypatch):
+    # blocks of one query: past its block, a cell keeps an 8-byte prediction per
+    # (metric, query), so a test set 4x as large on as many training rows (60 of
+    # 4 features) raises its peak by those bytes and a fixed slack, whatever the
+    # number of blocks
+    monkeypatch.setattr(registry, "BLOCK_ELEMENTS", 1)
+    metrics = list_metrics()
+    peaks = []
+    for n_test, n_examples in ((60, 120), (240, 300)):
+        cfg = ExperimentConfig(datasets=("cell.csv",), metrics=metrics, repetitions=1,
+                               test_fraction=n_test / n_examples)
+        ds = make_blobs("cell", n_examples, 4, (0.5, 0.5), spread=2.0, seed=13)
+        peaks.append(_cell_peak(ds, cfg))
+    slack = 128 * 2 ** 10   # the larger split's copies and small objects: 36 KiB on numpy 2.4
+    assert peaks[1] - peaks[0] <= 8 * len(metrics) * (240 - 60) + slack, peaks
 
 
 def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import _reference as ref
 from distbench import describe, evaluate, list_metrics, pairwise
-from distbench.metrics import kernels
+from distbench.metrics import kernels, registry
 from distbench.metrics.kernels import PairTerms
 
 N_PAIRS = 1000
@@ -182,6 +183,47 @@ def test_hassanat_is_zero_for_equal_values_far_below_zero():
         assert evaluate("HasD", [low, 1.0], [low, 1.0]) == 0.0, low
     rows = np.array([[-1e20, 1.0], [0.0, 1.0]])
     assert pairwise("HasD", np.array([-1e20, 1.0]), rows)[0] == 0.0
+
+
+def _hassanat_sign_cases():
+    """(7, 5) queries and (9, 5) rows: where the negatives are, and the extremes."""
+    rng = np.random.default_rng(26)
+    queries = rng.choice([0.0, -0.0, 0.5, 1.0, 3.0, 1e20], size=(7, 5))
+    rows = rng.choice([0.0, 0.5, 2.0, 1e-300, 7.0], size=(9, 5))
+    only_some = np.zeros((7, 1), dtype=bool)
+    only_some[[1, 4]] = True                 # blocks of one query mix both kinds
+    deep = [-1e300, -2.0 ** 60, -(2.0 ** 53) - 2.0]
+    far_q, far_r = queries.copy(), rows.copy()
+    far_q[:, :2] = rng.choice(deep, size=(7, 2))
+    far_r[:, :2] = rng.choice(deep, size=(9, 2))
+    far_q[0] = far_r[3]                      # an equal pair: distance 0
+    huge = [1e308, -1e308, 0.0, 1.0]
+    return {
+        "neither": (queries, rows),
+        "queries only": (np.where(only_some, -1.5 - queries, queries), rows),
+        "rows only": (queries, np.where(rows > 1.0, -rows, rows)),
+        "equal values below -2**53": (far_q, far_r),
+        "+-1e308": (rng.choice(huge, size=(7, 5)), rng.choice(huge, size=(9, 5))),
+    }
+
+
+HASSANAT_SIGN_CASES = _hassanat_sign_cases()
+
+
+@pytest.mark.parametrize("case", HASSANAT_SIGN_CASES, ids=HASSANAT_SIGN_CASES.keys())
+def test_hassanat_sign_rule_equals_its_reference_bit_for_bit(case, monkeypatch):
+    # HasD shifts by |min| only where min is negative, and reads the pair's
+    # min and max only when the queries or the rows hold a negative
+    queries, rows = HASSANAT_SIGN_CASES[case]
+    want = ref.hassanat_ref(queries[:, None, :], rows)
+    for budget in (registry.BLOCK_ELEMENTS, 1):   # default blocks, one query per block
+        monkeypatch.setattr(registry, "BLOCK_ELEMENTS", budget)
+        got = pairwise("HasD", queries, rows)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), budget
+    for i, query in enumerate(queries):
+        for j, row in enumerate(rows):
+            got = np.float64(evaluate("HasD", query, row))
+            assert got.view(np.int64) == ref.hassanat_ref(query, row).view(np.int64), (i, j)
 
 
 def test_pearson_degenerate_vectors():
