@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -49,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     noise = sub.add_parser("noise", help="run the top metrics under noise levels")
     noise.add_argument("--config", required=True, help="experiment config file")
     group = noise.add_mutually_exclusive_group()
-    group.add_argument("--top", type=int, default=None,
-                       help="pick the top N metrics from a fresh clean phase")
     group.add_argument("--metrics", default=None,
                        help="comma-separated metric abbreviations to run")
     group.add_argument("--published-top", action="store_true",
@@ -104,10 +101,7 @@ def _noise_metrics(args):
 
 
 def cmd_noise(args) -> int:
-    cfg = parse_config(args.config)
-    if args.top is not None:
-        cfg = replace(cfg, top_n=args.top)
-    result = run_noise_phase(cfg, top_metrics=_noise_metrics(args))
+    result = run_noise_phase(parse_config(args.config), top_metrics=_noise_metrics(args))
     out = Path(args.out)
     if result.clean is not None:
         _write_phase(result.clean, out / "records.csv")

@@ -5,7 +5,6 @@ from .kernels import EPSILON
 from .registry import (
     REGISTRY,
     Cell,
-    CoreKernel,
     Family,
     MetricDescriptor,
     describe,
@@ -17,7 +16,6 @@ from .registry import (
 
 __all__ = [
     "Cell",
-    "CoreKernel",
     "EPSILON",
     "Family",
     "MetricDescriptor",

@@ -1,9 +1,10 @@
 """The distance/similarity kernels, the shared cores and the pair terms.
 
-24 measures have a kernel here. The other 30 are finished, in the
-registry, from the shared cores: reductions such as the sum of absolute
-differences that several measures are simple functions of, kept by name
-in TERMS beside the elementwise pair terms.
+A measure that reduces over the features itself has a kernel here (24
+of them). The other 30 are one expression each, written in their
+registry rows, of the shared cores and row terms: reductions such as
+the sum of absolute differences that several measures are simple
+functions of, kept by name in TERMS beside the elementwise pair terms.
 
 Every kernel, term and core is a pure function of one PairTerms ``t``, the
 pair x, y of float ndarrays whose last axis is the vector dimension, so
@@ -248,8 +249,8 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "guarded_min": lambda t: _guarded(t.min),   # VWHD, VSDF2
     # x ln(x / mid): KDD's terms, and half of Topsoe's
     "x_log_x_mid": lambda t: _xlog(t.xf, 2.0 * t.xf / t.guarded_sum),
-    # The shared cores: reductions over the features. The registry finishes
-    # 30 measures from them, so factor-related measures agree to the last ulp.
+    # The shared cores: reductions over the features. 30 registry rows are
+    # expressions of them, so factor-related measures agree to the last ulp.
     "abs_diff_sum": lambda t: _fsum(t.abs_diff),
     # a maximum does not depend on order
     "abs_diff_max": lambda t: np.maximum.reduce(t.abs_diff, axis=0),

@@ -36,110 +36,19 @@ class Family(str, Enum):
 
 
 @dataclass(frozen=True)
-class CoreKernel:
-    """A kernel written as a finisher applied to shared cores.
-
-    Each core is named by its term in ``kernels.TERMS``: a reduction over
-    the features of a PairTerms ``t``. ``finish(values, t)`` turns the
-    tuple of core values into distances, reading the vectors from ``t`` if
-    it needs them. Calling the kernel on ``t`` reads each core as the term
-    ``getattr(t, name)``, which the PairTerms computes once, so a Cell
-    computes each core once per query block for every metric that shares it.
-    """
-
-    cores: tuple[str, ...]
-    finish: Callable[..., np.ndarray]
-
-    def __call__(self, t: PairTerms):
-        return self.finish(tuple(getattr(t, core) for core in self.cores), t)
-
-
-# Finishers: (core values, pair terms) -> distances. Module-level
-# functions, so descriptors pickle.
-
-def _itself(values, t):
-    return values[0]
-
-
-def _half(values, t):
-    return 0.5 * values[0]
-
-
-def _twice(values, t):
-    return 2.0 * values[0]
-
-
-def _root(values, t):
-    return np.sqrt(values[0])
-
-
-def _root_of_twice(values, t):
-    return np.sqrt(2.0 * values[0])
-
-
-def _per_dimension(values, t):
-    return values[0] / len(t.xf)
-
-
-def _root_per_dimension(values, t):
-    return np.sqrt(values[0] / len(t.xf))
-
-
-def _root_per_nonzero(values, t):
-    return np.sqrt(_div(values[0], values[1]))
-
-
-def _ratio(values, t):
-    return _div(values[0], values[1])
-
-
-def _larger(values, t):
-    return np.maximum(values[0], values[1])
-
-
-def _smaller(values, t):
-    return np.minimum(values[0], values[1])
-
-
-def _mean(values, t):
-    return 0.5 * (values[0] + values[1])
-
-
-def _one_minus(values, t):
-    return 1.0 - values[0]
-
-
-def _half_of_one_minus(values, t):
-    return (1.0 - values[0]) / 2.0
-
-
-# values[-1] of these is x's sum of squares; y's is a row term
-def _cosine(values, t):
-    return 1.0 - _div(values[0], np.sqrt(values[-1]) * np.sqrt(t.row("square_sum")))
-
-
-def _dice(values, t):
-    return 1.0 - _div(2.0 * values[0], values[-1] + t.row("square_sum"))
-
-
-def _jaccard(values, t):
-    return _div(values[0], (values[-1] + t.row("square_sum")) - values[1])
-
-
-def _squared_pearson(values, t):
-    # written via 1 - r so the algebraic tie to PeaD is bitwise
-    s = 1.0 - (1.0 - values[0])
-    return 1.0 - s * s
-
-
-@dataclass(frozen=True)
 class MetricDescriptor:
     """A measure, its family and the flags of the module docstring.
 
     ``func(t)`` is the measure's one formula: the distances of x against
-    y held by the PairTerms ``t``, given by a kernel of ``kernels`` or a
-    CoreKernel. Library callers score through ``evaluate`` and
+    y held by the PairTerms ``t``. It is a kernel of ``kernels`` when the
+    measure reduces over the features itself, or, when it is finished
+    from shared cores and row terms of ``t``, an expression written in its
+    registry row. Library callers score through ``evaluate`` and
     ``pairwise``, which check shapes and the domain first.
+
+    A registered descriptor pickles by its abbreviation and unpickles as
+    the registry's own; any other pickles by value, so its ``func`` must
+    be importable.
     """
 
     abbrev: str
@@ -156,69 +65,78 @@ class MetricDescriptor:
         if self.full_metric and not (self.symmetric and self.zero_self and self.nonneg_output):
             raise ValueError(f"{self.abbrev}: full_metric implies the other flags")
 
+    def __reduce__(self):
+        if REGISTRY.get(self.abbrev) is self:
+            return describe, (self.abbrev,)
+        return super().__reduce__()
+
 
 def _build_registry() -> dict[str, MetricDescriptor]:
     k = kernels
     F = Family
-    C = CoreKernel
     rows = [
         # Lp Minkowski
-        MetricDescriptor("MD", "Manhattan", F.MINKOWSKI, C(("abs_diff_sum",), _itself),
+        MetricDescriptor("MD", "Manhattan", F.MINKOWSKI, lambda t: t.abs_diff_sum,
                          full_metric=True),
-        MetricDescriptor("CD", "Chebyshev", F.MINKOWSKI, C(("abs_diff_max",), _itself),
+        MetricDescriptor("CD", "Chebyshev", F.MINKOWSKI, lambda t: t.abs_diff_max,
                          full_metric=True),
-        MetricDescriptor("ED", "Euclidean", F.MINKOWSKI, C(("sq_diff_sum",), _root),
+        MetricDescriptor("ED", "Euclidean", F.MINKOWSKI, lambda t: np.sqrt(t.sq_diff_sum),
                          full_metric=True),
         # L1
         MetricDescriptor("LD", "Lorentzian", F.L1, k.lorentzian, full_metric=True),
         MetricDescriptor("CanD", "Canberra", F.L1, k.canberra),
-        MetricDescriptor("SD", "Sorensen", F.L1, C(("abs_diff_sum", "value_sum"), _ratio),
+        MetricDescriptor("SD", "Sorensen", F.L1, lambda t: _div(t.abs_diff_sum, t.value_sum),
                          nonneg_output=False),
-        MetricDescriptor("SoD", "Soergel", F.L1, C(("abs_diff_sum", "max_sum"), _ratio),
+        MetricDescriptor("SoD", "Soergel", F.L1, lambda t: _div(t.abs_diff_sum, t.max_sum),
                          nonneg_output=False),
-        MetricDescriptor("KD", "Kulczynski", F.L1, C(("abs_diff_sum", "min_sum"), _ratio),
+        MetricDescriptor("KD", "Kulczynski", F.L1, lambda t: _div(t.abs_diff_sum, t.min_sum),
                          nonneg_output=False),
-        MetricDescriptor("MCD", "Mean Character", F.L1, C(("abs_diff_sum",), _per_dimension),
+        MetricDescriptor("MCD", "Mean Character", F.L1, lambda t: t.abs_diff_sum / len(t.xf),
                          full_metric=True),
-        MetricDescriptor("NID", "Non Intersection", F.L1, C(("abs_diff_sum",), _half),
+        MetricDescriptor("NID", "Non Intersection", F.L1, lambda t: 0.5 * t.abs_diff_sum,
                          full_metric=True),
-        # Inner product
+        # Inner product; y's sum of squares is a row term
         MetricDescriptor("JacD", "Jaccard", F.INNER_PRODUCT,
-                         C(("sq_diff_sum", "inner_product", "x_square_sum"), _jaccard)),
+                         lambda t: _div(t.sq_diff_sum, (t.x_square_sum + t.row("square_sum"))
+                                        - t.inner_product)),
         MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT,
-                         C(("inner_product", "x_square_sum"), _cosine), zero_self=False),
+                         lambda t: 1.0 - _div(t.inner_product, np.sqrt(t.x_square_sum)
+                                              * np.sqrt(t.row("square_sum"))),
+                         zero_self=False),
         MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT,
-                         C(("inner_product", "x_square_sum"), _dice), zero_self=False),
+                         lambda t: 1.0 - _div(2.0 * t.inner_product,
+                                              t.x_square_sum + t.row("square_sum")),
+                         zero_self=False),
         MetricDescriptor("ChoD", "Chord", F.INNER_PRODUCT, k.chord),
         # Squared chord
         MetricDescriptor("BD", "Bhattacharyya", F.SQUARED_CHORD, k.bhattacharyya,
                          zero_self=False, nonneg_output=False, requires_nonneg_inputs=True),
-        MetricDescriptor("SCD", "Squared Chord", F.SQUARED_CHORD,
-                         C(("squared_chord_sum",), _itself), requires_nonneg_inputs=True),
-        MetricDescriptor("MatD", "Matusita", F.SQUARED_CHORD, C(("squared_chord_sum",), _root),
+        MetricDescriptor("SCD", "Squared Chord", F.SQUARED_CHORD, lambda t: t.squared_chord_sum,
+                         requires_nonneg_inputs=True),
+        MetricDescriptor("MatD", "Matusita", F.SQUARED_CHORD,
+                         lambda t: np.sqrt(t.squared_chord_sum),
                          full_metric=True, requires_nonneg_inputs=True),
         MetricDescriptor("HeD", "Hellinger", F.SQUARED_CHORD,
-                         C(("squared_chord_sum",), _root_of_twice),
+                         lambda t: np.sqrt(2.0 * t.squared_chord_sum),
                          full_metric=True, requires_nonneg_inputs=True),
         # Squared L2
-        MetricDescriptor("SED", "Squared Euclidean", F.SQUARED_L2,
-                         C(("sq_diff_sum",), _itself)),
+        MetricDescriptor("SED", "Squared Euclidean", F.SQUARED_L2, lambda t: t.sq_diff_sum),
         MetricDescriptor("ClaD", "Clark", F.SQUARED_L2, k.clark),
-        MetricDescriptor("NCSD", "Neyman chi-squared", F.SQUARED_L2,
-                         C(("neyman_sum",), _itself), symmetric=False, nonneg_output=False),
-        MetricDescriptor("PCSD", "Pearson chi-squared", F.SQUARED_L2,
-                         C(("pearson_sum",), _itself), symmetric=False, nonneg_output=False),
+        MetricDescriptor("NCSD", "Neyman chi-squared", F.SQUARED_L2, lambda t: t.neyman_sum,
+                         symmetric=False, nonneg_output=False),
+        MetricDescriptor("PCSD", "Pearson chi-squared", F.SQUARED_L2, lambda t: t.pearson_sum,
+                         symmetric=False, nonneg_output=False),
         MetricDescriptor("SquD", "Squared chi-squared", F.SQUARED_L2,
-                         C(("squared_chi2_sum",), _itself), nonneg_output=False),
+                         lambda t: t.squared_chi2_sum, nonneg_output=False),
         MetricDescriptor("PSCSD", "Probabilistic Symmetric chi-squared", F.SQUARED_L2,
-                         C(("squared_chi2_sum",), _twice), nonneg_output=False),
+                         lambda t: 2.0 * t.squared_chi2_sum, nonneg_output=False),
         MetricDescriptor("DivD", "Divergence", F.SQUARED_L2, k.divergence),
         MetricDescriptor("ASCSD", "Additive Symmetric chi-squared", F.SQUARED_L2,
                          k.additive_symmetric_chi2, nonneg_output=False),
         MetricDescriptor("AD", "Average", F.SQUARED_L2,
-                         C(("sq_diff_sum",), _root_per_dimension), full_metric=True),
+                         lambda t: np.sqrt(t.sq_diff_sum / len(t.xf)), full_metric=True),
         MetricDescriptor("MCED", "Mean Censored Euclidean", F.SQUARED_L2,
-                         C(("sq_diff_sum", "nonzero_count"), _root_per_nonzero)),
+                         lambda t: np.sqrt(_div(t.sq_diff_sum, t.nonzero_count))),
         MetricDescriptor("SCSD", "Squared Chi-Squared", F.SQUARED_L2, k.squared_chi_squared),
         # Shannon entropy
         MetricDescriptor("KLD", "Kullback-Leibler", F.SHANNON_ENTROPY, k.kullback_leibler,
@@ -227,10 +145,10 @@ def _build_registry() -> dict[str, MetricDescriptor]:
                          requires_nonneg_inputs=True),
         MetricDescriptor("KDD", "K divergence", F.SHANNON_ENTROPY, k.k_divergence,
                          symmetric=False, nonneg_output=False, requires_nonneg_inputs=True),
-        MetricDescriptor("TopD", "Topsoe", F.SHANNON_ENTROPY, C(("topsoe_sum",), _itself),
+        MetricDescriptor("TopD", "Topsoe", F.SHANNON_ENTROPY, lambda t: t.topsoe_sum,
                          requires_nonneg_inputs=True),
-        MetricDescriptor("JSD", "Jensen-Shannon", F.SHANNON_ENTROPY, C(("topsoe_sum",), _half),
-                         requires_nonneg_inputs=True),
+        MetricDescriptor("JSD", "Jensen-Shannon", F.SHANNON_ENTROPY,
+                         lambda t: 0.5 * t.topsoe_sum, requires_nonneg_inputs=True),
         MetricDescriptor("JDD", "Jensen difference", F.SHANNON_ENTROPY, k.jensen_difference,
                          requires_nonneg_inputs=True),
         # Vicissitude
@@ -242,28 +160,29 @@ def _build_registry() -> dict[str, MetricDescriptor]:
         MetricDescriptor("VSDF3", "Vicis Symmetric 3", F.VICISSITUDE, k.vicis_symmetric3,
                          nonneg_output=False),
         MetricDescriptor("MSCD", "Max Symmetric chi-squared", F.VICISSITUDE,
-                         C(("neyman_sum", "pearson_sum"), _larger), nonneg_output=False),
+                         lambda t: np.maximum(t.neyman_sum, t.pearson_sum), nonneg_output=False),
         MetricDescriptor("MiSCSD", "Min Symmetric chi-squared", F.VICISSITUDE,
-                         C(("neyman_sum", "pearson_sum"), _smaller), nonneg_output=False),
+                         lambda t: np.minimum(t.neyman_sum, t.pearson_sum), nonneg_output=False),
         # Other
         MetricDescriptor("AvgD", "Average (L1, Linf)", F.OTHER,
-                         C(("abs_diff_sum", "abs_diff_max"), _mean), full_metric=True),
+                         lambda t: 0.5 * (t.abs_diff_sum + t.abs_diff_max), full_metric=True),
         MetricDescriptor("KJD", "Kumar-Johnson", F.OTHER, k.kumar_johnson,
                          zero_self=False, requires_nonneg_inputs=True),
         MetricDescriptor("TanD", "Taneja", F.OTHER, k.taneja, requires_nonneg_inputs=True),
-        MetricDescriptor("PeaD", "Pearson", F.OTHER, C(("pearson_r",), _one_minus),
+        MetricDescriptor("PeaD", "Pearson", F.OTHER, lambda t: 1.0 - t.pearson_r,
                          zero_self=False),
-        MetricDescriptor("CorD", "Correlation", F.OTHER,
-                         C(("pearson_r",), _half_of_one_minus), zero_self=False),
+        MetricDescriptor("CorD", "Correlation", F.OTHER, lambda t: (1.0 - t.pearson_r) / 2.0,
+                         zero_self=False),
+        # 1 - s * s with s written via 1 - r, so the algebraic tie to PeaD is bitwise
         MetricDescriptor("SPeaD", "Squared Pearson", F.OTHER,
-                         C(("pearson_r",), _squared_pearson), zero_self=False),
+                         lambda t: 1.0 - (s := 1.0 - (1.0 - t.pearson_r)) * s, zero_self=False),
         MetricDescriptor("HamD", "Hamming", F.OTHER, k.hamming, full_metric=True),
         MetricDescriptor("HauD", "Hausdorff", F.OTHER, k.hausdorff),
         MetricDescriptor("CSSD", "Chi-squared statistic", F.OTHER, k.chi2_statistic,
                          symmetric=False, nonneg_output=False),
         MetricDescriptor("WIAD", "Whittaker's index of association", F.OTHER, k.whittaker),
         MetricDescriptor("MeeD", "Meehl", F.OTHER, k.meehl),
-        MetricDescriptor("MotD", "Motyka", F.OTHER, C(("max_sum", "value_sum"), _ratio),
+        MetricDescriptor("MotD", "Motyka", F.OTHER, lambda t: _div(t.max_sum, t.value_sum),
                          zero_self=False, nonneg_output=False),
         MetricDescriptor("HasD", "Hassanat", F.OTHER, k.hassanat, full_metric=True),
     ]

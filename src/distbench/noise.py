@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, round_half_up
-from .errors import EmptyDatasetError
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,6 @@ def inject(ds: Dataset, spec: NoiseSpec) -> Dataset:
     Level 0 returns the dataset unchanged. Deterministic for identical
     (dataset, spec); different seeds pick different example sets.
     """
-    if len(ds) == 0:
-        raise EmptyDatasetError("cannot inject noise into an empty dataset")
     if spec.level == 0.0:
         return ds
     count = round_half_up(spec.level * len(ds))

@@ -28,7 +28,7 @@ from distbench import (
 )
 from distbench.bench import per_dataset_means
 from distbench.cli import main as cli_main
-from distbench.metrics.kernels import PairTerms
+from distbench.metrics.kernels import TERMS, PairTerms
 
 from _reference import DERIVED_ORACLES, exact_rank_sum_pvalue
 from conftest import V1, V2, make_blobs, write_config, write_dataset_csv
@@ -107,10 +107,17 @@ EQUIVALENT_GROUPS = (
 
 def test_criterion_4_argmin_equivalence():
     with criterion(4, "identical 1-NN predictions within monotone groups"):
-        # each group finishes one shared core, so its argmin is one argmin
+        # the members of a group compute the same shared terms, so its
+        # argmin is one argmin
+        x = np.array([0.5, 1.0, 2.0])
+        rows = np.array([[1.0, 0.0, 2.0], [0.5, 0.5, 0.5]])
         for group in EQUIVALENT_GROUPS:
-            declared = {describe(abbrev).func.cores for abbrev in group}
-            assert len(declared) == 1 and len(declared.pop()) == 1, group
+            computed = set()
+            for abbrev in group:
+                t = PairTerms(x, rows)
+                describe(abbrev).func(t)
+                computed.add(frozenset(name for name in vars(t) if name in TERMS))
+            assert len(computed) == 1 and computed.pop(), group
         for seed in range(20):
             ds = make_blobs(f"argmin{seed}", 100, 8, (0.4, 0.35, 0.25),
                             spread=2.0, seed=seed)

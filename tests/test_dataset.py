@@ -210,6 +210,11 @@ def test_from_arrays_rejects_non_finite_features(bad):
         Dataset.from_arrays("d", [[bad, 1.0]], [0], ["a"])
 
 
+def test_from_arrays_rejects_zero_rows():
+    with pytest.raises(EmptyDatasetError, match="dataset 'd' has no examples"):
+        Dataset.from_arrays("d", np.empty((0, 2)), np.empty(0, dtype=np.int64), ["a"])
+
+
 def test_datasets_are_immutable():
     ds = Dataset.from_arrays("im", [[1.0, 2.0]] * 3, [0, 0, 1], ["a", "b"])
     with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from distbench import Dataset, NoiseSpec, SplitPlan, inject, split
-from distbench.errors import EmptyDatasetError
 
 
 def _dataset(m=10, n=3, seed=0, name="noisy"):
@@ -102,16 +101,3 @@ def test_level_validation():
         NoiseSpec(level=1.0)
     with pytest.raises(ValueError):
         NoiseSpec(level=-0.1)
-
-
-def test_empty_dataset_rejected():
-    # the Dataset constructor already refuses empty data, so inject's own
-    # guard is reachable only through a stand-in
-    class FakeEmpty:
-        name = "empty"
-
-        def __len__(self):
-            return 0
-
-    with pytest.raises(EmptyDatasetError):
-        inject(FakeEmpty(), NoiseSpec(level=0.5))

@@ -13,6 +13,7 @@ from distbench.errors import (
     DomainViolationError,
     UnknownMetricError,
 )
+from distbench.metrics import MetricDescriptor, kernels
 
 EXPECTED_ABBREVS = (
     "MD", "CD", "ED", "LD", "CanD", "SD", "SoD", "KD", "MCD", "NID",
@@ -78,19 +79,22 @@ def test_descriptor_carries_default_guard_policy():
 
 
 def test_every_descriptor_survives_pickle():
-    # a descriptor pickles, its kernel and finisher by import path and its
-    # cores by name, so a copy sent to another process scores the same bits
+    # a registered descriptor pickles by its abbreviation and unpickles as the
+    # registry's own; any other pickles by value, its kernel by import path, so
+    # a copy sent to another process scores the same bits
+    for abbrev in list_metrics():
+        desc = describe(abbrev)
+        assert pickle.loads(pickle.dumps(desc)) is desc, abbrev
     rng = np.random.default_rng(23)
     rows = rng.choice(np.array([0.0, 0.5, 1.0, 2.0]), size=(9, 5))
     queries = rng.choice(np.array([0.0, 0.5, 1.0, 2.0]), size=(4, 5))
     rows[2] = 0.0                                # zero sums, minima and rows
     queries[0, :3] = 0.0
-    for abbrev in list_metrics():
-        desc = describe(abbrev)
-        copy = pickle.loads(pickle.dumps(desc))
-        want = pairwise(desc, queries, rows)
-        assert np.array_equal(pairwise(copy, queries, rows).view(np.int64),
-                              want.view(np.int64)), abbrev
+    custom = MetricDescriptor("CanX", "Canberra, unregistered", Family.L1, kernels.canberra)
+    copy = pickle.loads(pickle.dumps(custom))
+    assert copy == custom and copy is not custom
+    want = pairwise("CanD", queries, rows)
+    assert np.array_equal(pairwise(copy, queries, rows).view(np.int64), want.view(np.int64))
 
 
 def test_full_metric_implies_other_flags():
