@@ -216,9 +216,9 @@ def _run_block(ds: Dataset, level: float, repetition: int, metrics: tuple[str, .
         started = time.perf_counter()
         triple = score(confusion(test.labels, predicted[row[abbrev]], ds.n_classes))
         elapsed_ms = (seconds[abbrev] + time.perf_counter() - started) * 1000.0
-        print(f"cell dataset={ds.name} metric={abbrev} level={level} "
-              f"rep={repetition} accuracy={triple.accuracy:.4f} ({elapsed_ms:.1f} ms)",
-              file=sys.stderr)
+        line = (f"cell dataset={ds.name} metric={abbrev} level={level} "
+                f"rep={repetition} accuracy={triple.accuracy:.4f} ({elapsed_ms:.1f} ms)")
+        sys.stderr.write(line + "\n")   # one write: worker processes share stderr
         records.append(RunRecord(ds.name, abbrev, float(level), repetition, triple))
     skips = [SkipRecord(ds.name, abbrev, float(level), cell.skips[abbrev])
              for abbrev in metrics if abbrev in cell.skips]

@@ -25,21 +25,24 @@ the leading axis directly. An import-time probe checks the replayed
 order against the installed numpy and falls back to ``np.sum`` on a
 transposed copy if they disagree.
 
-A PairTerms computes each term of TERMS, elementwise (x - y, min(x, y),
-...) or a shared core (``abs_diff_sum``, ...), once per query block of a
-registry.Cell, as an attribute of its one store, and each term of y
-alone (ROW_TERMS) once per cell, in the store its blocks share.
+Every term is read by name, as ``t.diff`` or ``t.square_sum``, and
+computed on its first read: a name in TERMS (the copy ``xf``, an
+elementwise term such as x - y, or a shared core such as
+``abs_diff_sum``) once per query block of a registry.Cell, and a name
+in ROW_TERMS, a term of y alone (``yf``, ``square_sum``, ...), once per
+cell, in the store its blocks share.
 
 Division by zero and logs of non-positive arguments follow one rule: the
 zero denominator or non-positive log argument is replaced by EPSILON, in
-``_guarded`` (the denominator ``_div`` divides by) and ``_log`` alone.
-A zero numerator (or log coefficient) so gives a zero of its own sign,
-which no distance tells apart: every sum ends in ``+ 0.0``, and every
-other consumer squares the term, takes its absolute value or passes it
-to ``_log``. Only exact zeros are replaced, so a denominator such as
-5e-324 can still overflow to inf, and a zero coefficient times an
-infinite or NaN log is NaN; ``evaluate``, ``pairwise`` and the
-registry's Cell refuse a non-finite distance with DomainViolationError.
+``_substituted`` alone, which ``_guarded`` (the denominator ``_div``
+divides by) and ``_log`` call. A zero numerator (or log coefficient) so
+gives a zero of its own sign, which no distance tells apart: every sum
+ends in ``+ 0.0``, and every other consumer squares the term, takes its
+absolute value or passes it to ``_log``. Only exact zeros are replaced,
+so a denominator such as 5e-324 can still overflow to inf, and a zero
+coefficient times an infinite or NaN log is NaN; ``evaluate``,
+``pairwise`` and the registry's Cell refuse a non-finite distance with
+DomainViolationError.
 A denominator that several kernels divide by is guarded once, as a
 term: ``guarded_sum`` (x + y) and ``guarded_min`` once per block, the
 row term ``guarded`` (y) once per cell.
@@ -54,14 +57,18 @@ import numpy as np
 EPSILON = 1e-12
 
 
+def _substituted(a, bad):
+    """``a``, or a copy of it holding EPSILON where ``bad`` is set: the one substitution."""
+    if bad.any():
+        a = a.copy()
+        a[bad] = EPSILON
+    return a
+
+
 def _guarded(den):
     """den, or a copy of it holding EPSILON at each zero."""
     den = np.asarray(den, dtype=np.float64)
-    bad = den == 0.0
-    if bad.any():
-        den = den.copy()
-        den[bad] = EPSILON
-    return den
+    return _substituted(den, den == 0.0)
 
 
 def _div(num, den):
@@ -79,11 +86,7 @@ def _log(arg):
     Only a copy is written, and only when some argument is non-positive.
     """
     arg = np.asarray(arg, dtype=np.float64)
-    bad = arg <= 0.0
-    if bad.any():
-        arg = arg.copy()
-        arg[bad] = EPSILON
-    return np.log(arg)
+    return np.log(_substituted(arg, arg <= 0.0))
 
 
 def _xlog(coef, arg):
@@ -179,43 +182,36 @@ def _feature_major(a, ndim: int) -> np.ndarray:
 
 
 class PairTerms:
-    """The pair terms and shared cores of x against y, each computed on first use and kept.
+    """The pair terms and shared cores of x against y, each computed on first read and kept.
 
-    ``x`` and ``y`` broadcast against each other. ``xf`` and ``yf`` are
-    their C-contiguous feature-major copies: the last axis moved to the
-    front after both are given the same number of axes, so a (b, 1, n)
-    block and (m, n) rows become (n, b, 1) and (n, 1, m). Reading
-    ``t.diff``, ``t.abs_diff_sum`` or any other name in TERMS computes that
-    term once from the copies, as one contiguous feature-major array such
-    as (n, b, m) or, for a core, its (b, m) reduction over the features;
-    ``row(name)`` computes the term ``name`` of ROW_TERMS (``yf`` among
-    them) once per store ``rows``, a dict a Cell passes to the PairTerms of
-    each block. Inputs, copies, terms and row terms are read-only, so a
-    kernel that writes into one fails loudly instead of changing what the
-    next metric reads.
+    ``x`` and ``y`` broadcast against each other. Every other attribute is
+    a term of TERMS or ROW_TERMS, read as ``t.name`` and computed on first
+    read by ``__getattr__``, ``xf`` and ``yf`` among them: the C-contiguous
+    feature-major copies, the last axis moved to the front after both are
+    given the same number of axes, so a (b, 1, n) block and (m, n) rows
+    become (n, b, 1) and (n, 1, m). A term of TERMS, such as an
+    (n, b, m) elementwise term or a core's (b, m) sum over the features, is
+    kept on the PairTerms; a row term also in the store ``rows``, a dict a
+    Cell passes to each block's PairTerms, so it is computed once per cell.
+    Inputs, copies and terms are read-only, so a kernel that writes into
+    one fails loudly instead of changing what the next metric reads.
     """
 
     def __init__(self, x, y, rows=None):
         self.x = x
         self.y = y
         self._rows: dict = {} if rows is None else rows
-        self.xf = _frozen(_feature_major(x, max(np.ndim(x), np.ndim(y))))
-        self.yf = self.row("yf")
 
-    def __getattr__(self, name):   # reached only for a term not yet computed
-        try:
-            recipe = TERMS[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        value = _frozen(recipe(self))
+    def __getattr__(self, name):   # reached only for a term this PairTerms has not read
+        if name in TERMS:
+            value = _frozen(TERMS[name](self))
+        elif name in ROW_TERMS:
+            value = self._rows.get(name)
+            if value is None:
+                value = self._rows[name] = _frozen(ROW_TERMS[name](self))
+        else:
+            raise AttributeError(name)
         setattr(self, name, value)
-        return value
-
-    def row(self, name):
-        """The value of the row term ``name``, computed once per store."""
-        value = self._rows.get(name)
-        if value is None:
-            value = self._rows[name] = _frozen(ROW_TERMS[name](self))
         return value
 
 
@@ -225,8 +221,8 @@ def _pearson_r(t):
     Each mean is the sum over the count, which is how ``np.mean`` divides.
     """
     xc = t.xf - _fsum(t.xf) / len(t.xf)
-    num = _fsum(xc * t.row("centred"))
-    den = np.sqrt(_fsum(np.square(xc)) * t.row("centred_square_sum"))
+    num = _fsum(xc * t.centred)
+    den = np.sqrt(_fsum(np.square(xc)) * t.centred_square_sum)
     r = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
     return np.clip(r, -1.0, 1.0)
 
@@ -234,6 +230,7 @@ def _pearson_r(t):
 # The shared pair terms, by attribute name: each is a function of the
 # PairTerms, computed from its feature-major copies.
 TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
+    "xf": lambda t: _feature_major(t.x, max(np.ndim(t.x), np.ndim(t.y))),
     "diff": lambda t: t.xf - t.yf,
     "sum": lambda t: t.xf + t.yf,
     "min": lambda t: np.minimum(t.xf, t.yf),
@@ -262,12 +259,12 @@ TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "nonzero_count": lambda t: np.sum(t.sq_sum != 0.0, axis=0).astype(np.float64),
     "inner_product": lambda t: _fsum(t.prod),
     "x_square_sum": lambda t: _fsum(np.square(t.xf)),   # y's is the row term "square_sum"
-    "squared_chord_sum": lambda t: _fsum(np.square(np.sqrt(t.xf) - t.row("sqrt"))),
+    "squared_chord_sum": lambda t: _fsum(np.square(np.sqrt(t.xf) - t.sqrt)),
     "squared_chi2_sum": lambda t: _fsum(t.sq_diff / t.guarded_sum),
     # the directed chi-squared sums: sum((x - y)^2 / x), and sum((y - x)^2 / y)
     # as (x - y)^2, which squaring makes the same bits
     "neyman_sum": lambda t: _fsum(_div(t.sq_diff, t.xf)),
-    "pearson_sum": lambda t: _fsum(t.sq_diff / t.row("guarded")),
+    "pearson_sum": lambda t: _fsum(t.sq_diff / t.guarded),
     # Topsoe's information statistic, twice the Jensen-Shannon divergence
     "topsoe_sum": lambda t: _fsum(t.x_log_x_mid + _xlog(t.yf, 2.0 * t.yf / t.guarded_sum)),
     "pearson_r": _pearson_r,
@@ -280,12 +277,12 @@ ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "yf": lambda t: _feature_major(t.y, max(np.ndim(t.x), np.ndim(t.y))),
     "guarded": lambda t: _guarded(t.yf),                              # PCSD, KLD
     "square_sum": lambda t: _fsum(np.square(t.yf)),
-    "unit": lambda t: _div(t.yf, np.sqrt(t.row("square_sum"))),      # ChoD
+    "unit": lambda t: _div(t.yf, np.sqrt(t.square_sum)),              # ChoD
     "sqrt": lambda t: np.sqrt(t.yf),                                  # SCD, MatD, HeD
     "log": lambda t: _log(t.yf),                                      # JefD
     "xlogx": lambda t: _xlog(t.yf, t.yf),                             # JDD
     "centred": lambda t: t.yf - _fsum(t.yf) / len(t.yf),              # PeaD, CorD, SPeaD
-    "centred_square_sum": lambda t: _fsum(np.square(t.row("centred"))),
+    "centred_square_sum": lambda t: _fsum(np.square(t.centred)),
     "share": lambda t: _div(t.yf, _fsum(t.yf)),                       # WIAD
     "one_plus": lambda t: 1.0 + t.yf,                                 # HasD
     "has_negative": lambda t: (t.yf < 0.0).any(),                     # HasD
@@ -295,8 +292,8 @@ ROW_TERMS: dict[str, Callable[[PairTerms], np.ndarray]] = {
     "row_base": lambda t: np.arange(len(t.y)) * (t.y.shape[1] + 2),
     "flat": lambda t: (t.yf + 0.0).ravel(),         # every row's j-th value, j = 0, 1, ...
     "owner": lambda t: np.tile(np.arange(len(t.y)), t.y.shape[1]),
-    "order": lambda t: np.argsort(t.row("flat"), kind="stable"),
-    "run": lambda t: t.row("flat")[t.row("order")],   # the values in one ascending run
+    "order": lambda t: np.argsort(t.flat, kind="stable"),
+    "run": lambda t: t.flat[t.order],   # the values in one ascending run
 }
 
 
@@ -322,7 +319,7 @@ def chord(t):
     form suffers near identical vectors.
     """
     xn = _div(t.xf, np.sqrt(t.x_square_sum))
-    return np.sqrt(_fsum(np.square(xn - t.row("unit"))))
+    return np.sqrt(_fsum(np.square(xn - t.unit)))
 
 
 # Squared chord family (non-negative inputs only)
@@ -358,7 +355,7 @@ def squared_chi_squared(t):
 
 def kullback_leibler(t):
     """Relative entropy of x with respect to y; not symmetric."""
-    return _fsum(_xlog(t.xf, t.xf / t.row("guarded")))
+    return _fsum(_xlog(t.xf, t.xf / t.guarded))
 
 
 def jeffreys(t):
@@ -367,7 +364,7 @@ def jeffreys(t):
     The split-log form makes the kernel symmetric to the last bit; both
     factors negate exactly when the arguments swap.
     """
-    return _fsum(t.diff * (_log(t.xf) - t.row("log")))
+    return _fsum(t.diff * (_log(t.xf) - t.log))
 
 
 def k_divergence(t):
@@ -378,7 +375,7 @@ def k_divergence(t):
 def jensen_difference(t):
     """Half the summed Jensen differences of the entropy function."""
     # x ln x for x, y and their midpoint; 0 ln 0 is 0 ln EPSILON, a zero
-    terms = 0.5 * (_xlog(t.xf, t.xf) + t.row("xlogx")) - _xlog(t.mid, t.mid)
+    terms = 0.5 * (_xlog(t.xf, t.xf) + t.xlogx) - _xlog(t.mid, t.mid)
     return 0.5 * _fsum(terms)
 
 
@@ -456,20 +453,19 @@ def _sorted_hausdorff(q, t):
     """
     b, n = q.shape
     m = len(t.y)
-    closed, flat = t.row("closed"), t.row("flat")
     u, slot = np.unique(q + 0.0, return_inverse=True)   # distinct query values, -0.0 as 0.0
     slot = slot.reshape(b, n)
     k = len(u)
-    below = np.empty_like(t.row("order"))   # how many u lie below each value, in flat order
-    below[t.row("order")] = np.searchsorted(u, t.row("run"))
+    below = np.empty_like(t.order)   # how many u lie below each value, in flat order
+    below[t.order] = np.searchsorted(u, t.run)
     # query -> row: the last value of each sorted row that is <= each u, as (k, m)
-    counts = np.bincount(below * m + t.row("owner"), minlength=(k + 1) * m)
+    counts = np.bincount(below * m + t.owner, minlength=(k + 1) * m)
     last = np.cumsum(counts.reshape(k + 1, m)[:k], axis=0)
     del counts
-    last += t.row("row_base")
-    at_or_below = np.take(closed, last)
+    last += t.row_base
+    at_or_below = np.take(t.closed, last)
     last += 1
-    gaps = _gaps(np.take(closed, last), u[:, None], at_or_below)
+    gaps = _gaps(np.take(t.closed, last), u[:, None], at_or_below)
     del last, at_or_below
     to_rows = np.maximum.reduce(np.take(gaps, slot.T, axis=0), axis=0)
     del gaps
@@ -480,7 +476,7 @@ def _sorted_hausdorff(q, t):
     lower = np.hstack((-edge, np.maximum.accumulate(np.where(mine, u, -np.inf), axis=1)))
     upper = np.hstack((np.minimum.accumulate(np.where(mine, u, np.inf)[:, ::-1], axis=1)[:, ::-1],
                        edge))
-    gaps = _gaps(np.take(upper, below, axis=1), flat, np.take(lower, below, axis=1))
+    gaps = _gaps(np.take(upper, below, axis=1), t.flat, np.take(lower, below, axis=1))
     to_query = np.maximum.reduce(gaps.reshape(b, n, m), axis=1)
     return np.maximum(to_rows, to_query, out=to_query)
 
@@ -499,7 +495,7 @@ def chi2_statistic(t):
 
 def whittaker(t):
     """Half the L1 distance between the sum-normalized vectors."""
-    return 0.5 * _fsum(np.abs(_div(t.xf, _fsum(t.xf)) - t.row("share")))
+    return 0.5 * _fsum(np.abs(_div(t.xf, _fsum(t.xf)) - t.share))
 
 
 def meehl(t):
@@ -521,12 +517,12 @@ def hassanat(t):
     pair's min and max terms are read only when x or y holds a negative.
     """
     one_x = 1.0 + t.xf
-    one_y = t.row("one_plus")
+    one_y = t.one_plus
     # An overflowed denominator gives 1 - 1/inf, the correctly rounded 1.0.
     with np.errstate(over="ignore"):
         num = np.minimum(one_x, one_y)
         den = np.maximum(one_x, one_y)
-        if (t.xf < 0.0).any() or t.row("has_negative"):
+        if (t.xf < 0.0).any() or t.has_negative:
             lo = t.min
             shifted = lo < 0.0
             # lo + shift is exactly 0, so equal values give 0 at any

@@ -97,15 +97,15 @@ def _build_registry() -> dict[str, MetricDescriptor]:
                          full_metric=True),
         # Inner product; y's sum of squares is a row term
         MetricDescriptor("JacD", "Jaccard", F.INNER_PRODUCT,
-                         lambda t: _div(t.sq_diff_sum, (t.x_square_sum + t.row("square_sum"))
+                         lambda t: _div(t.sq_diff_sum, (t.x_square_sum + t.square_sum)
                                         - t.inner_product)),
         MetricDescriptor("CosD", "Cosine", F.INNER_PRODUCT,
                          lambda t: 1.0 - _div(t.inner_product, np.sqrt(t.x_square_sum)
-                                              * np.sqrt(t.row("square_sum"))),
+                                              * np.sqrt(t.square_sum)),
                          zero_self=False),
         MetricDescriptor("DicD", "Dice", F.INNER_PRODUCT,
                          lambda t: 1.0 - _div(2.0 * t.inner_product,
-                                              t.x_square_sum + t.row("square_sum")),
+                                              t.x_square_sum + t.square_sum),
                          zero_self=False),
         MetricDescriptor("ChoD", "Chord", F.INNER_PRODUCT, k.chord),
         # Squared chord

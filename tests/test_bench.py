@@ -279,6 +279,27 @@ def test_noise_level_zero_matches_clean_phase(tiny_config):
                 assert rec.scores == by_cell[(rec.dataset, rec.metric, rec.repetition)]
 
 
+def test_each_progress_line_is_one_write(tiny_config, monkeypatch):
+    # worker processes share stderr, so a line written as its text and then its
+    # line end can be spliced into another worker's line
+    writes = []
+
+    class Recording:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stderr", Recording())
+    result = run_clean_phase(tiny_config)
+    assert len(writes) == len(result.records)
+    for text in writes:
+        assert re.fullmatch(r"cell dataset=\w+ metric=\w+ level=0\.0 rep=\d "
+                            r"accuracy=\d\.\d{4} \(\d+\.\d ms\)\n", text), text
+
+
 def test_top_metrics_keeps_rank_ties():
     summary = summarize([
         RunRecord("d", "ED", 0.0, 0, ScoreTriple(0.9, 0.9, 0.9)),

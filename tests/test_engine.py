@@ -195,13 +195,17 @@ def test_each_shared_term_and_core_is_computed_once_per_block(monkeypatch):
         blocks += 1
         for desc in cell.live():
             pairwise(desc, block, rows, cell)
-    cores = {core for abbrev in list_metrics()
-             for core in getattr(describe(abbrev).func, "cores", ())}
     assert blocks == 3 and not cell.skips
-    assert sorted(set(computed)) == sorted(set(kernels.TERMS) | cores)
+    assert sorted(set(computed)) == sorted(kernels.TERMS)
     for name in set(computed):
         assert computed.count(name) == blocks, name
     assert sorted(rows_computed) == sorted(kernels.ROW_TERMS)   # each once, none left unread
+    # PairTerms looks a name up in TERMS, then in ROW_TERMS: no name may be in
+    # both, nor shadow an attribute a PairTerms sets itself
+    own = set(vars(kernels.PairTerms(queries, rows)))
+    assert own == {"x", "y", "_rows"}
+    assert not set(kernels.TERMS) & set(kernels.ROW_TERMS)
+    assert not (set(kernels.TERMS) | set(kernels.ROW_TERMS)) & own
 
 
 def _outcome(compute):

@@ -64,7 +64,7 @@ def test_unknown_metric():
         describe("XYZ")
 
 
-def test_descriptor_carries_default_guard_policy():
+def test_one_guard_rule_and_no_guard_parameter_anywhere():
     # one guard rule for every metric: EPSILON replaces a zero denominator,
     # and no descriptor, model or entry point takes another
     from distbench.metrics import EPSILON
